@@ -9,8 +9,14 @@ permutation-matrix representatives n_w.  On top of that this module offers:
   of U supported on the inversion positions of w (the triple is unique and
   is verified on every call);
 * the finite flag variety G/B as canonical column-echelon representatives,
-  enumerated in a deterministic breadth-first order, with the permutation
-  action of arbitrary group elements on it;
+  enumerated in a deterministic breadth-first order that also records each
+  generator's permutation of the flags;
+* the permutation action of an arbitrary group element on G/B, composed
+  along its Bruhat factors from cached permutations of root elements,
+  single-entry torus elements and Weyl representatives;
+* the cell table of Bruhat cells of all pairs of flags, with row 0 from
+  Bruhat cells and every other row propagated along the breadth-first
+  tree, since the Weyl distance between flags is G-invariant;
 * standard parabolic subgroups P = U_P x L for a composition of n, with
   canonical G/P coset data and Levi projections;
 * linear characters of U that are nontrivial on every simple-root subgroup
@@ -65,11 +71,54 @@ class BruhatTriple(NamedTuple):
 
 @dataclass
 class CosetSpace:
-    """Cosets gK of a subgroup K, as canonical keys plus representatives."""
+    """Cosets gK of a subgroup K, as canonical keys plus representatives.
+
+    The cosets are numbered in breadth-first order from K itself under left
+    multiplication by the group generators.  `parent[i]` is the coset whose
+    image under generator `parent_gen[i]` first reached coset i (-1 for
+    coset 0), and row k of `gen_perms` is the permutation of generator k.
+    """
 
     reps: list
     index: dict
     size: int
+    parent: np.ndarray
+    parent_gen: np.ndarray
+    gen_perms: np.ndarray
+
+
+def _orbit_cosets(F: FiniteField, generators, start, canon, expected: int,
+                  label: str) -> CosetSpace:
+    """Breadth-first orbit of the coset of `start` under the generators.
+
+    `canon(g)` returns (representative, key) of the coset of g; equal keys
+    mean equal cosets.
+    """
+    rep, key = canon(start)
+    reps, index = [rep], {key: 0}
+    parent, parent_gen = [-1], [-1]
+    images = [[] for _ in generators]
+    i = 0
+    while i < len(reps):
+        for k, gen in enumerate(generators):
+            rep, key = canon(F.mat_mul(gen, reps[i]))
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(reps)
+                reps.append(rep)
+                parent.append(i)
+                parent_gen.append(k)
+            images[k].append(j)
+        i += 1
+    if len(reps) != expected:
+        raise GroupError(
+            f"{label} orbit found {len(reps)} cosets, expected {expected}")
+    return CosetSpace(
+        reps=reps, index=index, size=len(reps),
+        parent=np.array(parent, dtype=np.int64),
+        parent_gen=np.array(parent_gen, dtype=np.int64),
+        gen_perms=np.array(images, dtype=np.int64).reshape(
+            len(generators), len(reps)))
 
 
 def _trivial_weyl() -> CoxeterGroup:
@@ -108,6 +157,7 @@ class GLGroup:
             classical *= q ** i - 1
         if classical != self.order_g:
             raise GroupError("order bookkeeping is inconsistent")
+        self._factor_perms: dict[bytes, np.ndarray] = {}
 
     def _poincare_sum(self) -> int:
         return sum(self.q ** int(l) for l in self.weyl.lengths)
@@ -155,6 +205,12 @@ class GLGroup:
         for s in range(self.weyl.rank):
             gens.append(self.weyl_rep(self.weyl.index[self.weyl.gens[s]]))
         return gens
+
+    @cached_property
+    def unipotent_generators(self) -> list:
+        """Simple-root elements x_{i,i+1}(c), c != 0; they generate U."""
+        return [self.root_element(i, c)
+                for i in range(self.n - 1) for c in range(1, self.q)]
 
     # -- membership helpers ------------------------------------------------
 
@@ -329,49 +385,89 @@ class GLGroup:
     @cached_property
     def cosets(self) -> CosetSpace:
         """G/B enumerated breadth-first from the identity coset."""
-        start = self.canonical_flag(self.identity_element())
-        reps = [start]
-        index = {start.tobytes(): 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for gen in self.generators:
-                    cand = self.canonical_flag(self.field.mat_mul(gen, rep))
-                    key = cand.tobytes()
-                    if key not in index:
-                        index[key] = len(reps)
-                        reps.append(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        if len(reps) != self.index:
-            raise GroupError(
-                f"flag orbit found {len(reps)} cosets, expected {self.index}")
-        return CosetSpace(reps=reps, index=index, size=len(reps))
+
+        def canon(g):
+            flag = self.canonical_flag(g)
+            return flag, flag.tobytes()
+
+        return _orbit_cosets(self.field, self.generators,
+                             self.identity_element(), canon, self.index,
+                             "flag")
 
     def coset_index(self, g) -> int:
         return self.cosets.index[self.flag_key(g)]
 
+    def _factor_permutation(self, g) -> np.ndarray:
+        """Coset permutation of a Bruhat factor by canonicalizing every flag.
+
+        Memoized per group: only root elements, single-entry torus elements
+        and Weyl representatives come here, so the cache stays small.
+        """
+        key = g.tobytes()
+        perm = self._factor_perms.get(key)
+        if perm is None:
+            cs = self.cosets
+            perm = np.array(
+                [cs.index[self.flag_key(self.field.mat_mul(g, rep))]
+                 for rep in cs.reps], dtype=np.int64)
+            self._factor_perms[key] = perm
+        return perm
+
+    def _entry_permutation(self, a: int, b: int, c: int) -> np.ndarray:
+        """Permutation of the identity matrix with entry (a, b) set to c."""
+        x = self.field.identity(self.n)
+        x[a, b] = c
+        return self._factor_permutation(x)
+
+    def _unipotent_action(self, u, out: np.ndarray) -> np.ndarray:
+        """Compose the permutation of a unit upper triangular u onto `out`.
+
+        u = E_{n-1} ... E_1, where E_b is the (commuting) product of the
+        root elements x_ab(u[a, b]) of column b, so E_1 acts first.
+        """
+        for b in range(1, self.n):
+            for a in range(b):
+                c = int(u[a, b])
+                if c:
+                    out = self._entry_permutation(a, b, c)[out]
+        return out
+
     def coset_permutation(self, g) -> np.ndarray:
-        """Permutation i -> index of g * rep_i; left action on G/B."""
-        cs = self.cosets
-        out = np.empty(cs.size, dtype=np.int64)
-        for i, rep in enumerate(cs.reps):
-            out[i] = cs.index[self.flag_key(self.field.mat_mul(g, rep))]
-        if len(set(out.tolist())) != cs.size:
+        """Permutation i -> index of g * rep_i; left action on G/B.
+
+        Factors g = h * u_b * n_w * u with the verified Bruhat decomposition
+        (b = h * u_b, h diagonal) and composes the memoized permutations of
+        root elements, single-entry torus elements and n_w.
+        """
+        F = self.field
+        b, w, u = self.bruhat(g)
+        h = [int(c) for c in np.diagonal(b)]
+        u_b = F.mat_mul(self.torus_element([F.inv(c) for c in h]), b)
+        out = self._unipotent_action(u, np.arange(self.cosets.size))
+        out = self._factor_permutation(self.weyl_rep(w))[out]
+        out = self._unipotent_action(u_b, out)
+        for i, c in enumerate(h):
+            if c != 1:
+                out = self._entry_permutation(i, i, c)[out]
+        if len(set(out.tolist())) != out.size:
             raise GroupError("coset action is not a permutation")
         return out
 
     @cached_property
     def cell_table(self) -> np.ndarray:
-        """cell_table[i, j] = Weyl index of the cell containing rep_i^{-1} rep_j."""
+        """cell_table[i, j] = Weyl index of the cell containing rep_i^{-1} rep_j.
+
+        Row 0 (rep_0 is the identity) comes from Bruhat cells.  The Weyl
+        distance is G-invariant, table[g.i, g.j] = table[i, j], so every
+        other row is its BFS parent's row gathered through the inverse
+        permutation of the generator that reached it.
+        """
         cs = self.cosets
         table = np.empty((cs.size, cs.size), dtype=np.int64)
-        inv_reps = [mat_inverse(self.field, rep) for rep in cs.reps]
-        for i in range(cs.size):
-            for j in range(cs.size):
-                table[i, j] = self.weyl_of(
-                    self.field.mat_mul(inv_reps[i], cs.reps[j]))
+        table[0] = [self.weyl_of(rep) for rep in cs.reps]
+        inv_perms = np.argsort(cs.gen_perms, axis=1)
+        for c in range(1, cs.size):
+            table[c] = table[cs.parent[c]][inv_perms[cs.parent_gen[c]]]
         return table
 
     # -- parabolic subgroups ----------------------------------------------
@@ -514,25 +610,9 @@ class ParabolicSubgroup:
     @cached_property
     def cosets(self) -> CosetSpace:
         G = self.group
-        start = G.identity_element()
-        reps = [start]
-        index = {self.coset_key(start): 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for gen in G.generators:
-                    cand = G.field.mat_mul(gen, rep)
-                    key = self.coset_key(cand)
-                    if key not in index:
-                        index[key] = len(reps)
-                        reps.append(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        if len(reps) != self.index:
-            raise GroupError(
-                f"G/P orbit found {len(reps)} cosets, expected {self.index}")
-        return CosetSpace(reps=reps, index=index, size=len(reps))
+        return _orbit_cosets(G.field, G.generators, G.identity_element(),
+                             lambda g: (g, self.coset_key(g)), self.index,
+                             "G/P")
 
     def coset_index(self, g) -> int:
         return self.cosets.index[self.coset_key(g)]

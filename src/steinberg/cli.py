@@ -38,8 +38,8 @@ from .combinat import (
 from .hecke import (
     act_on_borel_module,
     alternating_sum_vector,
-    borel_matrices_int,
     hecke_check,
+    is_sign_eigenvector_int,
     sign_eigenspace,
 )
 from .meataxe import (
@@ -103,10 +103,10 @@ def cmd_verify(args) -> tuple:
     checks = []
     lap("build_group")
 
-    e_int = alternating_sum_vector(G)
-    ok = all(
-        np.array_equal(M @ e_int, (-1) ** W.length(w) * e_int)
-        for w, M in enumerate(borel_matrices_int(G)))
+    G.cell_table  # the group layer (cosets, cell table) gets its own lap
+    lap("cell_table")
+
+    ok = is_sign_eigenvector_int(G, alternating_sum_vector(G))
     _check(checks, "sign_eigenvector_integer", ok,
            f"{W.order} Weyl operators on {G.index} flags")
     lap("integer_eigenvector")

@@ -385,17 +385,6 @@ class FiniteField:
             low = (low + c[..., None] * self._red[m]) % self.p
         return low
 
-    def elem_mul(self, A, B) -> np.ndarray:
-        """Hadamard product."""
-        if self.k == 1:
-            return (np.asarray(A) * np.asarray(B)) % self.p
-        dA, dB = self._decode(A), self._decode(B)
-        conv = np.zeros(dA.shape[:-1] + (2 * self.k - 1,), dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k):
-                conv[..., i + j] += dA[..., i] * dB[..., j]
-        return self._encode(self._reduce_digit_stack(conv % self.p))
-
     def mat_mul(self, A, B) -> np.ndarray:
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
@@ -415,24 +404,6 @@ class FiniteField:
         if self.k == 1:
             return (np.asarray(A, dtype=np.int64) @ v) % self.p
         return self.mat_mul(A, v.reshape(-1, 1)).ravel()
-
-    def mat_pow(self, A, e: int) -> np.ndarray:
-        n = A.shape[0]
-        R = self.identity(n)
-        base = np.asarray(A)
-        while e:
-            if e & 1:
-                R = self.mat_mul(R, base)
-            base = self.mat_mul(base, base)
-            e >>= 1
-        return R
-
-    def outer(self, u, v) -> np.ndarray:
-        """Outer product of two coded vectors."""
-        if self.k == 1:
-            return (np.outer(u, v)) % self.p
-        return self.mat_mul(np.asarray(u).reshape(-1, 1),
-                            np.asarray(v).reshape(1, -1))
 
     def random_matrix(self, rng, shape) -> np.ndarray:
         return rng.integers(0, self.order, size=shape, dtype=np.int64)

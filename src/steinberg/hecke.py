@@ -13,13 +13,15 @@ pluggable: big integers or any finite field.
 
 The realized side acts on the flag permutation basis of a concrete group:
 the operator of T_w sends a coset x to the sum of the cosets y for which
-x^{-1}y lies in the double coset of n_w.  Because the algebra is the
-opposite of the equivariant endomorphism ring, the operator of a product
-T_x T_y is (matrix of T_y) @ (matrix of T_x); the relation checks below pin
-that convention.  The all-important alternating sum over the Weyl group
-(the Steinberg element) is an integer eigenvector of every realized
-operator with eigenvalue (-1)^l(w), here checked over the integers so the
-statement descends to every coefficient field.
+x^{-1}y lies in the double coset of n_w, read from the group's cell table.
+Because the algebra is the opposite of the equivariant endomorphism ring,
+the operator of a product T_x T_y is (matrix of T_y) @ (matrix of T_x); the
+relation checks below pin that convention.  The all-important alternating
+sum over the Weyl group (the Steinberg element) is an integer eigenvector
+of every realized operator with eigenvalue (-1)^l(w), here checked over the
+integers so the statement descends to every coefficient field; that check
+reads T_w e from the cell table rows on the support of e, without operator
+matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "borel_matrices_int",
     "act_on_borel_module",
     "alternating_sum_vector",
+    "is_sign_eigenvector_int",
     "sign_eigenspace",
     "hecke_check",
 ]
@@ -399,6 +402,24 @@ def alternating_sum_vector(G: GLGroup) -> np.ndarray:
     return e
 
 
+def is_sign_eigenvector_int(G: GLGroup, v) -> bool:
+    """True when T_w v = (-1)^l(w) v over the integers for every w.
+
+    Reads (T_w v)[j] = sum of v[i] over the support of v with
+    cell_table[i, j] = w straight from the cell table, so no operator
+    matrix is built.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    support = np.flatnonzero(v)
+    rows = G.cell_table[support]
+    coeffs = v[support]
+    for w in range(G.weyl.order):
+        sign = -1 if G.weyl.length(w) % 2 else 1
+        if not np.array_equal(coeffs @ (rows == w), sign * v):
+            return False
+    return True
+
+
 def sign_eigenspace(G: GLGroup, ell: int) -> np.ndarray:
     """Basis rows of the common (-1)-eigenspace of all simple operators.
 
@@ -445,12 +466,7 @@ def hecke_check(G: GLGroup, ell: int) -> dict:
         if not np.array_equal(prod, mats[w]):
             relations_ok = False
 
-    e = alternating_sum_vector(G)
-    lemma_ok = True
-    for w, m_int in enumerate(borel_matrices_int(G)):
-        sign = -1 if W.length(w) % 2 else 1
-        if not np.array_equal(m_int @ e, sign * e):
-            lemma_ok = False
+    lemma_ok = is_sign_eigenvector_int(G, alternating_sum_vector(G))
 
     dim = int(sign_eigenspace(G, ell).shape[0])
     return {

@@ -61,7 +61,6 @@ __all__ = [
     "group_elements",
     "GelfandGraevData",
     "gelfand_graev",
-    "gelfand_graev_k",
 ]
 
 MAX_REGULAR_ORDER = 512
@@ -161,10 +160,13 @@ def unipotent_sum(G: GLGroup, F: FiniteField, character=None) -> np.ndarray:
         raise ModRepError(
             "character values live in a different coefficient field")
     total = F.zeros((G.index, G.index))
+    cols = np.arange(G.index)
     for u in G.unipotent_elements():
-        P = _perm_matrix(G.coset_permutation(u))
+        # u's permutation matrix has its ones at (rows[i], i)
+        rows = G.coset_permutation(u)
         c = 1 if character is None else character.value(u)
-        total = F.mat_add(total, F.scale(int(c), P))
+        total[rows, cols] = F.mat_add(total[rows, cols],
+                                      np.full(G.index, c, dtype=np.int64))
     return total
 
 
@@ -203,8 +205,9 @@ def socle_of_steinberg(G: GLGroup, ell: int, d: int = 1,
     """Socle of the Steinberg module, generated by the unipotent average.
 
     Verifies that the generated submodule is irreducible and that the
-    unipotent fixed space of the Steinberg module is one-dimensional, so
-    the socle is simple and found in full.
+    unipotent fixed space of the Steinberg module (the common fixed space
+    of the simple-root generators of U) is one-dimensional, so the socle
+    is simple and found in full.
     """
     data = steinberg_module(G, ell, d, check=False)
     M = data.parent
@@ -222,7 +225,8 @@ def socle_of_steinberg(G: GLGroup, ell: int, d: int = 1,
         raise ModRepError("the submodule generated by the unipotent average "
                           "is not irreducible")
     St = data.module
-    umats = [St.act(u) for u in G.unipotent_elements()]
+    # generators of U have the same fixed space as all of U
+    umats = [St.act(u) for u in G.unipotent_generators]
     fix = fixed_points(F, umats, St.dim)
     if fix.shape[0] != 1:
         raise ModRepError(
@@ -548,6 +552,3 @@ def gelfand_graev(G: GLGroup, character,
                             vector=v, image_dim=image_dim, hom_dim=hom_dim,
                             head=head, head_multiplicity=mult,
                             steinberg_factors=factors)
-
-
-gelfand_graev_k = gelfand_graev

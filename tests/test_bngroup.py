@@ -198,6 +198,65 @@ def test_cell_table():
             assert table[j, i] == G.weyl.inverse(int(table[i, j]))
 
 
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_cell_table_matches_pairwise_bruhat_cells(n, q):
+    # reference: the Bruhat cell of rep_i^{-1} rep_j for every pair of flags
+    G = build_gl(n, q)
+    reps = G.cosets.reps
+    expected = np.array(
+        [[G.weyl_of(G.field.mat_mul(mat_inverse(G.field, a), b))
+          for b in reps] for a in reps])
+    assert np.array_equal(G.cell_table, expected)
+
+
+def _random_invertible(G, rng, count):
+    out = []
+    while len(out) < count:
+        g = G.field.random_matrix(rng, (G.n, G.n))
+        if G.is_invertible(g):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (2, 4)])
+def test_coset_permutation_matches_flag_canonicalization(n, q):
+    G = build_gl(n, q)
+    cs = G.cosets
+
+    def reference(g):
+        return [cs.index[G.flag_key(G.field.mat_mul(g, rep))]
+                for rep in cs.reps]
+
+    samples = (G.unipotent_elements()
+               + [G.weyl_rep(w) for w in range(G.weyl.order)]
+               + list(G.generators)
+               + _random_invertible(G, np.random.default_rng(29), 30))
+    for g in samples:
+        assert G.coset_permutation(g).tolist() == reference(g)
+    with pytest.raises(GroupError):
+        G.coset_permutation(G.field.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (2, 4)])
+def test_unipotent_generators_generate_u(n, q):
+    G = build_gl(n, q)
+    gens = G.unipotent_generators
+    assert all(G.in_unipotent(u) for u in gens)
+    start = G.identity_element()
+    seen = {start.tobytes()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for u in gens:
+                y = G.field.mat_mul(u, x)
+                if y.tobytes() not in seen:
+                    seen.add(y.tobytes())
+                    nxt.append(y)
+        frontier = nxt
+    assert len(seen) == q ** (n * (n - 1) // 2) == G.order_u
+
+
 def test_parabolic_basics():
     G = build_gl(3, 2)
     P = G.parabolic((2, 1))
