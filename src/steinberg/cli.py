@@ -11,7 +11,7 @@ Output is JSON by default (stable key order, byte-identical for identical
 seed and flags) or a plain text rendering via --format text.  The seed
 comes from --seed, else the STEINBERG_SEED environment variable, else the
 library default.  Exit status: 0 all checks pass, 1 a check failed,
-2 usage, cap or input errors.
+2 usage, cap or input errors, including a cap hit partway through verify.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from .meataxe import (
     DEFAULT_SEED,
     composition_factors,
     factor_multiplicities,
-    is_irreducible,
     multiplicity_of,
 )
-from .modrep import socle_of_steinberg, steinberg_module
+from .modrep import ModRepError, socle_of_steinberg, steinberg_module
 
 DEFAULT_MAX_INDEX = 5000
 
@@ -134,13 +133,15 @@ def cmd_verify(args) -> tuple:
            f"common (-1)-eigenspace dimension {eig.shape[0]}")
     lap("modular_eigenspace")
 
-    verdict, _ = is_irreducible(data.module, seed)
+    # the factor list is one entry exactly when its first Norton test says
+    # irreducible: a reducible verdict splits off a proper nonzero witness
+    factors = composition_factors(data.module, seed)
+    verdict = len(factors) == 1
     divisible = G.index % ell == 0
     _check(checks, "irreducibility_matches_index", verdict != divisible,
            f"index={G.index}, divisible={divisible}, "
            f"verdict={'irreducible' if verdict else 'reducible'}")
 
-    factors = composition_factors(data.module, seed)
     expected = composition_length_gl(n, q, ell)
     _check(checks, "composition_length_formula", len(factors) == expected,
            f"meataxe length {len(factors)}, formula {expected}")
@@ -153,14 +154,16 @@ def cmd_verify(args) -> tuple:
 
     trivial_socle = False
     try:
-        sd = socle_of_steinberg(G, ell, seed=seed)
+        sd = socle_of_steinberg(G, data, seed=seed)
         mult = multiplicity_of(sd.module, factors)
         trivial_socle = sd.module.dim == 1 and all(
             np.array_equal(A, [[1]]) for A in sd.module.mats)
         _check(checks, "socle_simple_and_unique", mult == 1,
                f"socle dim {sd.module.dim}, multiplicity {mult}, "
                f"unipotent fixed dim {sd.fix_dim}")
-    except ValueError as exc:
+    except ModRepError as exc:
+        # a failed socle claim is a failed check; cap hits and other errors
+        # reach main and exit 2
         _check(checks, "socle_simple_and_unique", False, str(exc))
 
     q_is_minus_one = (q + 1) % ell == 0

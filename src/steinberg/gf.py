@@ -16,6 +16,8 @@ import functools
 
 import numpy as np
 
+from . import polynomials
+
 __all__ = [
     "FieldError",
     "FiniteField",
@@ -28,7 +30,6 @@ __all__ = [
     "charpoly",
     "intersect_rowspaces",
     "reduce_mod_rowspace",
-    "in_rowspace",
     "format_matrix",
     "parse_matrix",
 ]
@@ -83,81 +84,12 @@ def prime_power(q: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # modulus selection: polynomials over GF(p) as little-endian int tuples
 
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _pmulmod(f, g, mod, p):
-    r = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                r[i + j] = (r[i + j] + a * b) % p
-    return _prem(r, mod, p)
-
-
-def _prem(f, mod, p):
-    f = list(f)
-    dm = len(mod) - 1
-    lead_inv = pow(mod[-1], p - 2, p)
-    while len(_ptrim(tuple(f))) - 1 >= dm:
-        f = list(_ptrim(tuple(f)))
-        d = len(f) - 1
-        c = (f[-1] * lead_inv) % p
-        for i, m in enumerate(mod):
-            f[d - dm + i] = (f[d - dm + i] - c * m) % p
-        f = f[:-1]
-    return _ptrim(tuple(f))
-
-
-def _pgcd(f, g, p):
-    f, g = _ptrim(tuple(f)), _ptrim(tuple(g))
-    while g:
-        f, g = g, _prem(f, g, p)
-    return f
-
-
-def _ppowmod(f, e, mod, p):
-    r = (1,)
-    f = _prem(f, mod, p)
-    while e:
-        if e & 1:
-            r = _pmulmod(r, f, mod, p)
-        f = _pmulmod(f, f, mod, p)
-        e >>= 1
-    return r
-
-
-def _is_irreducible(mod, p):
-    """Rabin test: x^(p^k) = x mod f, and x^(p^(k/r)) - x coprime for prime r|k."""
-    k = len(mod) - 1
-    x = (0, 1)
-    xq = _ppowmod(x, p ** k, mod, p)
-    if _ptrim(tuple((a - b) % p for a, b in _zipext(xq, x, p))) != ():
-        return False
-    for r in factorize(k):
-        xe = _ppowmod(x, p ** (k // r), mod, p)
-        diff = tuple((a - b) % p for a, b in _zipext(xe, x, p))
-        if len(_pgcd(diff, mod, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _zipext(f, g, p):
-    n = max(len(f), len(g))
-    f = tuple(f) + (0,) * (n - len(f))
-    g = tuple(g) + (0,) * (n - len(g))
-    return zip(f, g)
-
-
 def _least_irreducible(p, k):
     """Monic irreducible of degree k with the smallest low-coefficient code."""
+    Fp = field(p)
     for code in range(p ** k):
-        lower = tuple((code // p ** i) % p for i in range(k))
-        mod = lower + (1,)
-        if _is_irreducible(mod, p):
+        mod = tuple((code // p ** i) % p for i in range(k)) + (1,)
+        if polynomials.is_irreducible_poly(Fp, mod):
             return mod
     raise FieldError(f"no irreducible polynomial found for GF({p}^{k})")
 
@@ -578,11 +510,6 @@ def reduce_mod_rowspace(F: FiniteField, basis, pivots, v):
             coords[i] = x
             v = F.mat_sub(v, F.scale(x, basis[i]))
     return v, coords
-
-
-def in_rowspace(F: FiniteField, basis, pivots, v) -> bool:
-    res, _ = reduce_mod_rowspace(F, basis, pivots, v)
-    return not res.any()
 
 
 def intersect_rowspaces(F: FiniteField, U, V) -> np.ndarray:

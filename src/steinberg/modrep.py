@@ -106,7 +106,7 @@ def _spot_check_action(G: GLGroup, M: GModule) -> None:
                 "action map is not multiplicative on generator products")
 
 
-def borel_module(G: GLGroup, ell: int, d: int = 1, check: bool = True) -> GModule:
+def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
     """Permutation module on the complete flag space over GF(ell^d)."""
     F = _module_field(G, ell, d)
 
@@ -117,8 +117,7 @@ def borel_module(G: GLGroup, ell: int, d: int = 1, check: bool = True) -> GModul
     M = GModule(F, mats, dim=G.index,
                 label=f"flag module of {G!r} over GF({F.order})",
                 act=act, check=False)
-    if check:
-        _spot_check_action(G, M)
+    _spot_check_action(G, M)
     return M
 
 
@@ -139,10 +138,9 @@ class SteinbergData:
     module: GModule      # the action on basis coordinates
 
 
-def steinberg_module(G: GLGroup, ell: int, d: int = 1,
-                     check: bool = True) -> SteinbergData:
+def steinberg_module(G: GLGroup, ell: int, d: int = 1) -> SteinbergData:
     """Submodule of the flag module spun up from the alternating flag sum."""
-    M = borel_module(G, ell, d, check=check)
+    M = borel_module(G, ell, d)
     e = steinberg_element(G, ell, d)
     basis = spin(M, e)
     St = submodule_module(
@@ -200,20 +198,26 @@ class SocleData:
     fix_dim: int         # dimension of the unipotent fixed space of Steinberg
 
 
-def socle_of_steinberg(G: GLGroup, ell: int, d: int = 1,
+def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
                        seed: int = DEFAULT_SEED) -> SocleData:
-    """Socle of the Steinberg module, generated by the unipotent average.
+    """Socle of a Steinberg module of G, generated by the unipotent average.
 
-    Verifies that the generated submodule is irreducible and that the
-    unipotent fixed space of the Steinberg module (the common fixed space
-    of the simple-root generators of U) is one-dimensional, so the socle
-    is simple and found in full.
+    `steinberg` is steinberg_module(G, ell, d) for this G; the socle is
+    spun inside its flag module, over its coefficient field.  Verifies that
+    the generated submodule is irreducible and that the unipotent fixed
+    space of the Steinberg module (the common fixed space of the
+    simple-root generators of U) is one-dimensional, so the socle is simple
+    and found in full.  Raises ModRepError when the unipotent average
+    vanishes or either check fails.
     """
-    data = steinberg_module(G, ell, d, check=False)
-    M = data.parent
+    M = steinberg.parent
+    if M.dim != G.index:
+        raise ModRepError(
+            f"the Steinberg data lives on {M.dim} flags, but {G!r} has "
+            f"{G.index}")
     F = M.field
     theta = unipotent_sum(G, F)
-    v = F.mat_vec(theta, data.vector)
+    v = F.mat_vec(theta, steinberg.vector)
     if not v.any():
         raise ModRepError("the unipotent average of the alternating vector "
                           "vanished; no socle generator")
@@ -224,7 +228,7 @@ def socle_of_steinberg(G: GLGroup, ell: int, d: int = 1,
     if not verdict:
         raise ModRepError("the submodule generated by the unipotent average "
                           "is not irreducible")
-    St = data.module
+    St = steinberg.module
     # generators of U have the same fixed space as all of U
     umats = [St.act(u) for u in G.unipotent_generators]
     fix = fixed_points(F, umats, St.dim)
@@ -232,7 +236,7 @@ def socle_of_steinberg(G: GLGroup, ell: int, d: int = 1,
         raise ModRepError(
             f"unipotent fixed space of the Steinberg module has dimension "
             f"{fix.shape[0]}, expected 1")
-    return SocleData(steinberg=data, vector=v, basis=basis, module=Y,
+    return SocleData(steinberg=steinberg, vector=v, basis=basis, module=Y,
                      fix_dim=int(fix.shape[0]))
 
 
@@ -535,7 +539,7 @@ def gelfand_graev(G: GLGroup, character,
         regular, gamma_basis,
         label=f"Gelfand-Graev module of {G!r} over GF({F.order})")
 
-    st = steinberg_module(G, ell, d=sigma.degree, check=False)
+    st = steinberg_module(G, ell, d=sigma.degree)
     theta = unipotent_sum(G, F, sigma)
     v = F.mat_vec(theta, st.vector)
     if not v.any():

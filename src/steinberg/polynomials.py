@@ -8,9 +8,12 @@ powers, squarefree/distinct-degree/equal-degree factorization.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .gf import FiniteField
+if TYPE_CHECKING:
+    from .gf import FiniteField
 
 __all__ = [
     "trim", "degree", "add", "sub", "scale", "mul", "divmod_poly", "mod",

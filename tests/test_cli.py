@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from steinberg import cli
 from steinberg.cli import main
-from steinberg.meataxe import DEFAULT_SEED
+from steinberg.gf import FieldError
+from steinberg.meataxe import DEFAULT_SEED, ModuleCapError
+from steinberg.modrep import ModRepError
 
 
 def run(capsys, *argv):
@@ -101,6 +104,37 @@ def test_verify_rejects_equal_characteristic(capsys):
         capsys, "verify", "--n", "2", "--q", "2", "--ell", "2")
     assert code == 2
     assert payload["error"]["code"] == "ModRepError"
+
+
+def _socle_raising(exc):
+    def socle_of_steinberg(G, steinberg, seed):
+        raise exc
+    return socle_of_steinberg
+
+
+def test_verify_failed_socle_claim_is_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "socle_of_steinberg",
+                        _socle_raising(ModRepError("socle is not simple")))
+    code, payload = run_json(
+        capsys, "verify", "--n", "2", "--q", "2", "--ell", "3")
+    assert code == 1
+    socle = next(c for c in payload["checks"]
+                 if c["name"] == "socle_simple_and_unique")
+    assert socle == {"name": "socle_simple_and_unique", "pass": False,
+                     "details": "socle is not simple"}
+
+
+@pytest.mark.parametrize("exc", [
+    FieldError("matrix dimension exceeds cap 2048"),
+    ModuleCapError("induced module exceeds cap"),
+])
+def test_verify_cap_hit_in_socle_step_exits_2(capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "socle_of_steinberg", _socle_raising(exc))
+    code, payload = run_json(
+        capsys, "verify", "--n", "2", "--q", "2", "--ell", "3")
+    assert code == 2
+    assert payload["error"] == {"code": type(exc).__name__,
+                                "message": str(exc)}
 
 
 def test_seed_resolution(capsys, monkeypatch):

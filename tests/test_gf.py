@@ -48,6 +48,39 @@ def test_gf9_modulus():
     assert F.modulus == (1, 0, 1)  # x^2 + 1 irreducible mod 3
 
 
+# every extension field up to order 2^12, constant term first; the encoding
+# of field elements depends on these, so the choice must never drift
+MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1), (19, 2): (1, 0, 1), (23, 2): (1, 0, 1),
+    (29, 2): (2, 0, 1), (31, 2): (1, 0, 1), (37, 2): (2, 0, 1),
+    (41, 2): (3, 0, 1), (43, 2): (1, 0, 1), (47, 2): (1, 0, 1),
+    (53, 2): (2, 0, 1), (59, 2): (1, 0, 1), (61, 2): (2, 0, 1),
+}
+
+
+def test_moduli_are_pinned():
+    pairs = [(p, k) for p in range(2, 65) if gf.is_prime(p)
+             for k in range(2, 13) if p ** k <= 1 << 12]
+    assert sorted(pairs) == sorted(MODULI)
+    for (p, k), modulus in MODULI.items():
+        assert field(p, k).modulus == modulus
+
+
 def test_prime_field_scalars():
     F = field(7)
     assert F.mul(3, 5) == 1

@@ -86,7 +86,8 @@ def st_data(n, q, ell):
 
 def socle_data(n, q, ell):
     if (n, q, ell) not in _socles:
-        _socles[(n, q, ell)] = socle_of_steinberg(group(n, q), ell)
+        _socles[(n, q, ell)] = socle_of_steinberg(group(n, q),
+                                                  st_data(n, q, ell))
     return _socles[(n, q, ell)]
 
 
@@ -162,6 +163,16 @@ def test_irreducible_iff_characteristic_coprime_to_index():
             assert 0 < witness.shape[0] < G.order_u
 
 
+@pytest.mark.parametrize("seed", [214003, 1, 2])
+def test_one_factor_exactly_when_norton_says_irreducible(seed):
+    # verify reads its irreducibility verdict off the factor list
+    for n, q, ell in MATRIX:
+        M = st_data(n, q, ell).module
+        verdict, _ = is_irreducible(M, seed)
+        assert verdict == (len(composition_factors(M, seed)) == 1), \
+            (n, q, ell)
+
+
 def test_steinberg_factor_dimensions_and_multiplicity_free():
     for n, q, ell in MATRIX:
         factors = st_factors(n, q, ell)
@@ -206,6 +217,11 @@ def test_socle_dimensions_and_multiplicity():
         stacked = np.vstack([data.basis, sd.basis])
         assert rank(data.parent.field, stacked) == data.basis.shape[0]
         assert multiplicity_of(sd.module, st_factors(n, q, ell)) == 1
+
+
+def test_socle_refuses_steinberg_data_of_another_group():
+    with pytest.raises(ModRepError, match="flags"):
+        socle_of_steinberg(group(2, 3), st_data(2, 2, 5))
 
 
 def test_trivial_socle_iff_q_is_minus_one():
