@@ -105,12 +105,13 @@ def cmd_verify(args) -> tuple:
     G.cell_table  # the group layer (cosets, cell table) gets its own lap
     lap("cell_table")
 
-    ok = is_sign_eigenvector_int(G, alternating_sum_vector(G))
+    alternating = alternating_sum_vector(G)
+    ok = is_sign_eigenvector_int(G, alternating)
     _check(checks, "sign_eigenvector_integer", ok,
            f"{W.order} Weyl operators on {G.index} flags")
     lap("integer_eigenvector")
 
-    data = steinberg_module(G, ell)
+    data = steinberg_module(G, ell, alternating=alternating)
     F = data.parent.field
     e_mod = data.vector
     ok = True

@@ -317,6 +317,22 @@ class FiniteField:
             low = (low + c[..., None] * self._red[m]) % self.p
         return low
 
+    def hadamard(self, A, B) -> np.ndarray:
+        """Elementwise product of two arrays of codes, numpy-broadcast.
+
+        A column times a row is the outer product of a rank-1 update.
+        """
+        A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+        if self.k == 1:
+            return (A * B) % self.p
+        dA, dB = self._decode(A), self._decode(B)
+        shape = np.broadcast_shapes(A.shape, B.shape)
+        conv = np.zeros(shape + (2 * self.k - 1,), dtype=np.int64)
+        for i in range(self.k):
+            for j in range(self.k):
+                conv[..., i + j] += dA[..., i] * dB[..., j]
+        return self._encode(self._reduce_digit_stack(conv % self.p))
+
     def mat_mul(self, A, B) -> np.ndarray:
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
@@ -411,8 +427,9 @@ def rref(F: FiniteField, A) -> tuple[np.ndarray, list[int]]:
         colvals[r] = 0
         mask = np.nonzero(colvals)[0]
         if len(mask):
-            R[mask] = F.mat_sub(R[mask], F.mat_mul(colvals[mask].reshape(-1, 1),
-                                                   R[r].reshape(1, -1)))
+            # row r is zero left of c, so the update touches columns c: only
+            R[mask, c:] = F.mat_sub(R[mask, c:], F.hadamard(
+                colvals[mask].reshape(-1, 1), R[r, c:]))
         pivots.append(c)
         r += 1
     return R, pivots
@@ -465,7 +482,8 @@ def charpoly(F: FiniteField, A) -> list[int]:
     if n == 0:
         return [1]
     H = A.copy()
-    # reduce to upper Hessenberg form by exact similarity transforms
+    # reduce to upper Hessenberg form by exact similarity transforms: one
+    # rank-1 transform per column, H -> L H L^-1 with L = I - f e_{c+1}^T
     for c in range(n - 2):
         nz = np.nonzero(H[c + 1 :, c])[0]
         if len(nz) == 0:
@@ -474,30 +492,26 @@ def charpoly(F: FiniteField, A) -> list[int]:
         if i != c + 1:
             H[[c + 1, i]] = H[[i, c + 1]]
             H[:, [c + 1, i]] = H[:, [i, c + 1]]
-        inv_piv = F.inv(int(H[c + 1, c]))
-        for r in range(c + 2, n):
-            if H[r, c]:
-                f = F.mul(int(H[r, c]), inv_piv)
-                H[r] = F.mat_sub(H[r], F.scale(f, H[c + 1]))
-                H[:, c + 1] = F.mat_add(H[:, c + 1], F.scale(f, H[:, r]))
-    # charpolys of leading principal Hessenberg blocks
-    polys = [[1]]
+        f = F.scale(F.inv(int(H[c + 1, c])), H[c + 2 :, c]).reshape(-1, 1)
+        H[c + 2 :] = F.mat_sub(H[c + 2 :], F.hadamard(f, H[c + 1]))
+        H[:, c + 1] = F.mat_add(H[:, c + 1], F.mat_mul(H[:, c + 2 :], f)[:, 0])
+    # row m of P is the charpoly of the leading m x m block of H; betas[i]
+    # is the subdiagonal product H[i+1, i] * ... * H[m-1, m-2]
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    betas = np.zeros(0, dtype=np.int64)
     for m in range(1, n + 1):
-        d = int(H[m - 1, m - 1])
-        prev = polys[m - 1]
-        cur = [0] * (m + 1)
-        for i, cf in enumerate(prev):  # (t - d) * prev
-            cur[i + 1] = F.add(cur[i + 1], cf)
-            cur[i] = F.sub(cur[i], F.mul(d, cf))
-        beta = 1
-        for i in range(m - 1, 0, -1):
-            beta = F.mul(beta, int(H[i, i - 1]))
-            coef = F.mul(int(H[i - 1, m - 1]), beta)
-            if coef:
-                for j, cf in enumerate(polys[i - 1]):
-                    cur[j] = F.sub(cur[j], F.mul(coef, cf))
-        polys.append(cur)
-    return polys[n]
+        prev = P[m - 1]
+        cur = np.zeros(n + 1, dtype=np.int64)
+        cur[1:] = prev[:-1]  # t * prev
+        cur = F.mat_sub(cur, F.scale(int(H[m - 1, m - 1]), prev))
+        if m > 1:
+            h = int(H[m - 1, m - 2])
+            betas = np.append(F.scale(h, betas), h)
+            coefs = F.hadamard(H[: m - 1, m - 1], betas).reshape(1, -1)
+            cur = F.mat_sub(cur, F.mat_mul(coefs, P[: m - 1])[0])
+        P[m] = cur
+    return [int(x) for x in P[n]]
 
 
 def reduce_mod_rowspace(F: FiniteField, basis, pivots, v):

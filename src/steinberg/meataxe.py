@@ -8,6 +8,12 @@ recursive composition factors with seed-independent fingerprints, sub-,
 quotient- and dual modules, homomorphism spaces by exact linear solving,
 and fixed points.
 
+Spinning is incremental (Parker's MeatAxe): each round multiplies only the
+vectors added in the previous round and echelonizes their images against
+the current basis, so no elimination sees more rows than the module has
+dimensions.  Fingerprints are computed on demand: factors of different
+dimensions are told apart without any characteristic polynomial.
+
 Vectors are rows; a matrix A acts on the column vector v as A @ v, so the
 row form of the action is v -> v @ A.T.  All subspaces are returned as
 canonical reduced-row-echelon bases, which makes equality of subspaces a
@@ -16,6 +22,7 @@ plain array comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,7 +34,6 @@ from .gf import (
     inverse,
     kernel,
     rank,
-    reduce_mod_rowspace,
     row_basis,
     rref,
 )
@@ -113,27 +119,49 @@ class GModule:
                 f"{len(self.mats)} generators{tag})")
 
 
-def _as_rows(F: FiniteField, dim: int, seeds) -> np.ndarray:
+def _as_rows(F: FiniteField, dim: int, seeds):
+    """RREF basis and pivot columns of the span of the seed rows."""
     if seeds is None:
-        return np.zeros((0, dim), dtype=np.int64)
+        return np.zeros((0, dim), dtype=np.int64), []
     arr = np.array(seeds, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.shape[1] != dim:
         raise MeatAxeError(
             f"seed width {arr.shape[1]} does not match dimension {dim}")
-    return row_basis(F, arr)
+    R, pivots = rref(F, arr)
+    return R[: len(pivots)], pivots
 
 
 def _spin_rows(F: FiniteField, mats, dim: int, seeds) -> np.ndarray:
-    basis = _as_rows(F, dim, seeds)
+    """Incremental spin: only the rows added last round are multiplied.
+
+    The basis stays in RREF throughout.  Each generator's images of the
+    frontier are reduced against it by reading coordinates off the pivot
+    columns; the new echelon rows are merged in by clearing their pivot
+    columns from the old rows, so no elimination ever sees more than `dim`
+    rows.
+    """
+    basis, pivots = _as_rows(F, dim, seeds)
     transposed = [m.T.copy() for m in mats]
-    while basis.shape[0]:
-        images = [F.mat_mul(basis, t) for t in transposed]
-        bigger = row_basis(F, np.vstack([basis] + images))
-        if bigger.shape[0] == basis.shape[0]:
-            break
-        basis = bigger
+    frontier = basis
+    while frontier.shape[0]:
+        added = []
+        for t in transposed:
+            if len(pivots) == dim:
+                break
+            images = F.mat_mul(frontier, t)
+            residue = F.mat_sub(images, F.mat_mul(images[:, pivots], basis))
+            new, new_piv = rref(F, residue)
+            if not new_piv:
+                continue
+            new = new[: len(new_piv)]
+            basis = F.mat_sub(basis, F.mat_mul(basis[:, new_piv], new))
+            order = np.argsort(pivots + new_piv)
+            basis = np.vstack([basis, new])[order]
+            pivots = sorted(pivots + new_piv)
+            added.append(new)
+        frontier = np.vstack(added) if added else basis[:0]
     return basis
 
 
@@ -145,13 +173,10 @@ def spin(M: GModule, seeds) -> np.ndarray:
 def _restrict(F: FiniteField, basis, pivots, A) -> np.ndarray:
     """Matrix of A on the invariant row space spanned by the RREF basis."""
     images = F.mat_mul(basis, A.T)
-    out = np.zeros((basis.shape[0], basis.shape[0]), dtype=np.int64)
-    for i in range(images.shape[0]):
-        residue, coords = reduce_mod_rowspace(F, basis, pivots, images[i])
-        if residue.any():
-            raise MeatAxeError("subspace is not invariant under the action")
-        out[i] = coords
-    return out.T
+    coords = images[:, pivots]
+    if F.mat_sub(images, F.mat_mul(coords, basis)).any():
+        raise MeatAxeError("subspace is not invariant under the action")
+    return coords.T
 
 
 def restricted_action(F: FiniteField, rows, A) -> np.ndarray:
@@ -190,12 +215,10 @@ def quotient_module(M: GModule, basis, label="") -> GModule:
     qdim = len(free)
 
     def project(A):
-        out = np.zeros((qdim, qdim), dtype=np.int64)
-        for jq, j in enumerate(free):
-            col = A[:, j].copy()
-            residue, _ = reduce_mod_rowspace(F, basis, pivots, col)
-            out[:, jq] = residue[free]
-        return out
+        # the images of the free basis vectors, as rows, reduced mod basis
+        cols = A[:, free].T
+        residue = F.mat_sub(cols, F.mat_mul(cols[:, pivots], basis))
+        return residue[:, free].T
 
     mats = [project(A) for A in M.mats]
     act = None
@@ -328,7 +351,7 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
 # -- composition factors and fingerprints -----------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CompositionFactor:
     """A factor with its seed-independent identity data.
 
@@ -336,12 +359,19 @@ class CompositionFactor:
     polynomials of a fixed sample of algebra elements built from a frozen
     word table -- the same table for every module over the same generator
     list, so equal data on simple factors means a hom-space check can
-    settle isomorphism.
+    settle isomorphism.  The polynomials are computed on first access and
+    cached: a comparison of factors of different dimensions never needs
+    them.
     """
 
     dim: int
-    charpolys: tuple
-    module: GModule = dc_field(repr=False, compare=False, default=None)
+    module: GModule = dc_field(repr=False)
+
+    @functools.cached_property
+    def charpolys(self) -> tuple:
+        M = self.module
+        return tuple(sorted(tuple(charpoly(M.field, A))
+                            for A in _fingerprint_samples(M)))
 
     @property
     def fingerprint(self):
@@ -379,9 +409,7 @@ def _fingerprint_samples(M: GModule):
 
 
 def factor_of(M: GModule) -> CompositionFactor:
-    polys = tuple(sorted(tuple(charpoly(M.field, A))
-                         for A in _fingerprint_samples(M)))
-    return CompositionFactor(dim=M.dim, charpolys=polys, module=M)
+    return CompositionFactor(dim=M.dim, module=M)
 
 
 def composition_factors(M: GModule, seed: int = DEFAULT_SEED):
@@ -426,11 +454,9 @@ def composition_series(M: GModule, seed: int = DEFAULT_SEED):
 
 
 def same_factor(a: CompositionFactor, b: CompositionFactor) -> bool:
-    """Identity of simple factors: fingerprints, then a hom-space check."""
-    if a.fingerprint != b.fingerprint:
+    """Identity of simple factors: dimension, fingerprints, then a hom space."""
+    if a.dim != b.dim or a.charpolys != b.charpolys:
         return False
-    if a.module is None or b.module is None:
-        return True
     return len(hom_space(a.module, b.module)) > 0
 
 

@@ -121,10 +121,14 @@ def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
     return M
 
 
-def steinberg_element(G: GLGroup, ell: int, d: int = 1) -> np.ndarray:
-    """Alternating sum of Weyl-chamber flags, as GF(ell^d) codes."""
+def steinberg_element(G: GLGroup, ell: int, d: int = 1,
+                      alternating=None) -> np.ndarray:
+    """Alternating sum of Weyl-chamber flags, as GF(ell^d) codes.
+
+    `alternating` is `alternating_sum_vector(G)` when the caller has it.
+    """
     F = _module_field(G, ell, d)
-    e = alternating_sum_vector(G)
+    e = alternating_sum_vector(G) if alternating is None else alternating
     return np.array([F.from_int(int(c)) for c in e], dtype=np.int64)
 
 
@@ -138,10 +142,14 @@ class SteinbergData:
     module: GModule      # the action on basis coordinates
 
 
-def steinberg_module(G: GLGroup, ell: int, d: int = 1) -> SteinbergData:
-    """Submodule of the flag module spun up from the alternating flag sum."""
+def steinberg_module(G: GLGroup, ell: int, d: int = 1,
+                     alternating=None) -> SteinbergData:
+    """Submodule of the flag module spun up from the alternating flag sum.
+
+    `alternating` is `alternating_sum_vector(G)` when the caller has it.
+    """
     M = borel_module(G, ell, d)
-    e = steinberg_element(G, ell, d)
+    e = steinberg_element(G, ell, d, alternating)
     basis = spin(M, e)
     St = submodule_module(
         M, basis, label=f"Steinberg module of {G!r} over GF({M.field.order})")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from steinberg import cli
+from steinberg import cli, hecke, modrep
 from steinberg.cli import main
 from steinberg.gf import FieldError
 from steinberg.meataxe import DEFAULT_SEED, ModuleCapError
@@ -135,6 +135,20 @@ def test_verify_cap_hit_in_socle_step_exits_2(capsys, monkeypatch, exc):
     assert code == 2
     assert payload["error"] == {"code": type(exc).__name__,
                                 "message": str(exc)}
+
+
+def test_verify_builds_the_alternating_vector_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return hecke.alternating_sum_vector(G)
+
+    monkeypatch.setattr(cli, "alternating_sum_vector", counted)
+    monkeypatch.setattr(modrep, "alternating_sum_vector", counted)
+    code, _ = run_json(capsys, "verify", "--n", "2", "--q", "2", "--ell", "3")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_seed_resolution(capsys, monkeypatch):

@@ -1,0 +1,213 @@
+"""Field and MeatAxe kernels against the straightforward versions they replaced.
+
+The oracles below are the earlier implementations, kept verbatim apart from
+input checks: `rref` updated whole rows per pivot, `charpoly` applied one
+row and one column operation per entry and ran its recurrence in scalar
+field arithmetic, `_spin_rows` re-multiplied and re-echelonized its whole
+basis every round, and sub- and quotient actions reduced one vector at a
+time.  Every current kernel returns a canonical object (an RREF basis, a
+characteristic polynomial, a matrix in a canonical basis), so the outputs
+must agree exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from steinberg.gf import charpoly, field, reduce_mod_rowspace, rref
+from steinberg.meataxe import GModule, quotient_module, spin, submodule_module
+
+FIELDS = (field(2), field(3), field(2, 2), field(13))
+MAX_DIM = 12
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                    database=None)
+
+
+# -- oracles -----------------------------------------------------------------
+
+
+def rref_oracle(F, A):
+    R = np.array(A, dtype=np.int64)
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        piv = int(R[r, c])
+        if piv != 1:
+            R[r] = F.scale(F.inv(piv), R[r])
+        colvals = R[:, c].copy()
+        colvals[r] = 0
+        mask = np.nonzero(colvals)[0]
+        if len(mask):
+            R[mask] = F.mat_sub(R[mask], F.mat_mul(colvals[mask].reshape(-1, 1),
+                                                   R[r].reshape(1, -1)))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def row_basis_oracle(F, A):
+    R, piv = rref_oracle(F, A)
+    return R[: len(piv)]
+
+
+def charpoly_oracle(F, A):
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[0]
+    if n == 0:
+        return [1]
+    H = A.copy()
+    for c in range(n - 2):
+        nz = np.nonzero(H[c + 1 :, c])[0]
+        if len(nz) == 0:
+            continue
+        i = c + 1 + int(nz[0])
+        if i != c + 1:
+            H[[c + 1, i]] = H[[i, c + 1]]
+            H[:, [c + 1, i]] = H[:, [i, c + 1]]
+        inv_piv = F.inv(int(H[c + 1, c]))
+        for r in range(c + 2, n):
+            if H[r, c]:
+                f = F.mul(int(H[r, c]), inv_piv)
+                H[r] = F.mat_sub(H[r], F.scale(f, H[c + 1]))
+                H[:, c + 1] = F.mat_add(H[:, c + 1], F.scale(f, H[:, r]))
+    polys = [[1]]
+    for m in range(1, n + 1):
+        d = int(H[m - 1, m - 1])
+        prev = polys[m - 1]
+        cur = [0] * (m + 1)
+        for i, cf in enumerate(prev):
+            cur[i + 1] = F.add(cur[i + 1], cf)
+            cur[i] = F.sub(cur[i], F.mul(d, cf))
+        beta = 1
+        for i in range(m - 1, 0, -1):
+            beta = F.mul(beta, int(H[i, i - 1]))
+            coef = F.mul(int(H[i - 1, m - 1]), beta)
+            if coef:
+                for j, cf in enumerate(polys[i - 1]):
+                    cur[j] = F.sub(cur[j], F.mul(coef, cf))
+        polys.append(cur)
+    return polys[n]
+
+
+def spin_rows_oracle(F, mats, dim, seeds):
+    basis = row_basis_oracle(F, seeds)
+    transposed = [m.T.copy() for m in mats]
+    while basis.shape[0]:
+        images = [F.mat_mul(basis, t) for t in transposed]
+        bigger = row_basis_oracle(F, np.vstack([basis] + images))
+        if bigger.shape[0] == basis.shape[0]:
+            break
+        basis = bigger
+    return basis
+
+
+def restrict_oracle(F, basis, pivots, A):
+    images = F.mat_mul(basis, A.T)
+    out = np.zeros((basis.shape[0], basis.shape[0]), dtype=np.int64)
+    for i in range(images.shape[0]):
+        residue, coords = reduce_mod_rowspace(F, basis, pivots, images[i])
+        assert not residue.any()
+        out[i] = coords
+    return out.T
+
+
+def project_oracle(F, basis, pivots, A):
+    free = [c for c in range(A.shape[0]) if c not in set(pivots)]
+    out = np.zeros((len(free), len(free)), dtype=np.int64)
+    for jq, j in enumerate(free):
+        residue, _ = reduce_mod_rowspace(F, basis, pivots, A[:, j].copy())
+        out[:, jq] = residue[free]
+    return out
+
+
+# -- strategies --------------------------------------------------------------
+
+
+def codes(F, shape):
+    return arrays(np.int64, shape, elements=st.integers(0, F.order - 1))
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix, often block triangular so Hessenberg steps skip."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, MAX_DIM))
+    A = draw(codes(F, (n, n))).copy()
+    if draw(st.booleans()):
+        split = draw(st.integers(0, n))
+        A[split:, :split] = 0
+    return F, A
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A matrix of any shape, often of rank below both of its dimensions."""
+    F = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, MAX_DIM))
+    cols = draw(st.integers(0, MAX_DIM))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        left = draw(codes(F, (rows, k)))
+        right = draw(codes(F, (k, cols)))
+        return F, F.mat_mul(left, right)
+    return F, draw(codes(F, (rows, cols)))
+
+
+@st.composite
+def modules_and_seeds(draw):
+    """1-4 generators, often sharing an invariant coordinate subspace."""
+    F = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(0, MAX_DIM))
+    gens = draw(st.integers(1, 4))
+    mats = [draw(codes(F, (dim, dim))).copy() for _ in range(gens)]
+    if draw(st.booleans()):
+        split = draw(st.integers(0, dim))
+        for A in mats:
+            A[split:, :split] = 0
+    seeds = draw(codes(F, (draw(st.integers(1, 3)), dim)))
+    return F, mats, dim, seeds
+
+
+# -- properties --------------------------------------------------------------
+
+
+@SETTINGS
+@given(square_matrices())
+def test_charpoly_matches_oracle(case):
+    F, A = case
+    assert charpoly(F, A) == charpoly_oracle(F, A)
+
+
+@SETTINGS
+@given(echelon_inputs())
+def test_rref_matches_oracle(case):
+    F, A = case
+    R, pivots = rref(F, A)
+    R_old, pivots_old = rref_oracle(F, A)
+    assert pivots == pivots_old
+    assert np.array_equal(R, R_old)
+
+
+@SETTINGS
+@given(modules_and_seeds())
+def test_spin_and_derived_actions_match_oracles(case):
+    F, mats, dim, seeds = case
+    M = GModule(F, mats, dim=dim, check=False)
+    basis = spin(M, seeds)
+    assert np.array_equal(basis, spin_rows_oracle(F, mats, dim, seeds))
+    pivots = rref(F, basis)[1]
+    sub = submodule_module(M, basis)
+    quo = quotient_module(M, basis)
+    for A, S, Q in zip(mats, sub.mats, quo.mats):
+        if basis.shape[0]:
+            assert np.array_equal(S, restrict_oracle(F, basis, pivots, A))
+        assert np.array_equal(Q, project_oracle(F, basis, pivots, A))

@@ -1,8 +1,11 @@
 """MeatAxe engine tests on small hand-checkable modules."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from steinberg import gf, meataxe
 from steinberg.gf import field, rank
 from steinberg.meataxe import (
     GModule,
@@ -208,3 +211,30 @@ def test_algebra_element_is_seed_deterministic():
     b = algebra_element(M, np.random.default_rng(7))
     assert np.array_equal(a, b)
     assert rank(F3, algebra_element(M, np.random.default_rng(8))) >= 0
+
+
+def test_spin_never_echelonizes_more_rows_than_the_dimension(monkeypatch):
+    # stacking the basis with all generator images before one elimination
+    # needs dim * (1 + gens) rows; spinning incrementally needs at most dim
+    M = s3_permutation_module(F3)
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", M.dim)
+    assert np.array_equal(spin(M, np.array([1, 0, 0])), F3.identity(3))
+
+
+def test_factors_of_distinct_dimensions_need_no_fingerprints(monkeypatch):
+    callers = []
+
+    def counted(F, A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return gf.charpoly(F, A)
+
+    monkeypatch.setattr(meataxe, "charpoly", counted)
+    M = s3_permutation_module(F2)  # trivial plus a 2-dimensional simple
+    factors = composition_factors(M)
+    assert sorted(f.dim for f in factors) == [1, 2]
+    assert len(factor_multiplicities(factors)) == 2
+    assert callers and set(callers) == {"_factor_candidates"}
+    norton_calls = len(callers)
+    factors[0].fingerprint
+    factors[0].fingerprint  # computed once, then cached
+    assert len(callers) == norton_calls + 6
