@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .caps import MAX_FLAG_COUNT, MAX_UNIPOTENT
 from .combinat import gaussian_binomial
 from .coxeter import CoxeterGroup
 from .coxeter import build_weyl as _build_weyl
@@ -52,9 +53,6 @@ __all__ = [
     "RegularCharacter",
     "build_gl",
 ]
-
-MAX_FLAG_COUNT = 5000
-MAX_UNIPOTENT = 4096
 
 
 class GroupError(ValueError):

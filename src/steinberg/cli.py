@@ -11,7 +11,9 @@ Output is JSON by default (stable key order, byte-identical for identical
 seed and flags) or a plain text rendering via --format text.  The seed
 comes from --seed, else the STEINBERG_SEED environment variable, else the
 library default.  Exit status: 0 all checks pass, 1 a check failed,
-2 usage, cap or input errors, including a cap hit partway through verify.
+2 usage, cap or input errors.  `verify` and `hecke-check` refuse a group
+with more flags than caps.MAX_DENSE_DIM (exit 2, FieldError) before any
+work starts; a cap hit partway through verify also exits 2.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ import time
 import numpy as np
 
 from .bngroup import build_gl
+from .caps import MAX_DENSE_DIM
 from .combinat import (
     composition_length_gl,
     composition_length_gu,
-    flag_count,
     format_partition,
     quantum_characteristic,
     quantum_characteristic_twisted,
     socle_partition,
 )
+from .gf import FieldError
 from .hecke import (
     act_on_borel_module,
     alternating_sum_vector,
@@ -50,8 +53,6 @@ from .meataxe import (
 )
 from .modrep import ModRepError, socle_of_steinberg, steinberg_module
 
-DEFAULT_MAX_INDEX = 5000
-
 
 def _resolve_seed(value) -> int:
     if value is not None:
@@ -64,14 +65,6 @@ def _resolve_seed(value) -> int:
             raise ValueError(
                 f"STEINBERG_SEED must be an integer, got {env!r}")
     return DEFAULT_SEED
-
-
-def _build_group(n: int, q: int, max_index: int):
-    count = flag_count(n, q)
-    if count > max_index:
-        raise ValueError(
-            f"flag count {count} exceeds --max-index {max_index}")
-    return build_gl(n, q)
 
 
 def _finite_or_none(e):
@@ -97,7 +90,9 @@ def cmd_verify(args) -> tuple:
         timings[name] = round(now - t_last, 6)
         t_last = now
 
-    G = _build_group(n, q, args.max_index)
+    G = build_gl(n, q)
+    if G.index > MAX_DENSE_DIM:
+        raise FieldError(f"flag count {G.index} exceeds cap {MAX_DENSE_DIM}")
     W = G.weyl
     checks = []
     lap("build_group")
@@ -264,14 +259,14 @@ def cmd_table(args) -> tuple:
 
 
 def cmd_hecke_check(args) -> tuple:
-    G = _build_group(args.n, args.q, args.max_index)
+    G = build_gl(args.n, args.q)
     payload = hecke_check(G, args.ell)
     return payload, payload["relations_ok"] and payload["lemma22_ok"]
 
 
 def cmd_group_report(args) -> tuple:
     seed = _resolve_seed(args.seed)
-    G = _build_group(args.n, args.q, args.max_index)
+    G = build_gl(args.n, args.q)
     payload = G.summary()
     rng = np.random.default_rng(seed)
     samples = [G.identity_element()] + list(G.generators)
@@ -322,22 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "modules of small general linear groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, cap=False):
+    def common(p, seed=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="meataxe seed; default from STEINBERG_SEED "
                                 "or the library constant")
-        if cap:
-            p.add_argument("--max-index", type=int,
-                           default=DEFAULT_MAX_INDEX,
-                           help="refuse groups with more flags than this")
 
     p = sub.add_parser("verify", help="run the invariant suite for one "
                                       "(n, q, ell)")
     for flag in ("--n", "--q", "--ell"):
         p.add_argument(flag, type=int, required=True)
-    common(p, seed=True, cap=True)
+    common(p, seed=True)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock stage timings in JSON output "
                         "(makes the output non-reproducible byte for byte)")
@@ -360,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
                                            "sign eigenvector summary")
     for flag in ("--n", "--q", "--ell"):
         p.add_argument(flag, type=int, required=True)
-    common(p, cap=True)
+    common(p)
     p.set_defaults(func=cmd_hecke_check)
 
     p = sub.add_parser("group-report", help="group bookkeeping and Bruhat "
                                             "self-test")
     for flag in ("--n", "--q"):
         p.add_argument(flag, type=int, required=True)
-    common(p, seed=True, cap=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_group_report)
 
     p = sub.add_parser("table", help="bundled decomposition-data lookups")

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-__all__ = ["CoxeterError", "CoxeterGroup", "build_weyl"]
+from .caps import MAX_GROUP_ORDER
 
-MAX_GROUP_ORDER = 1_000_000
+__all__ = ["CoxeterError", "CoxeterGroup", "build_weyl"]
 
 
 class CoxeterError(ValueError):

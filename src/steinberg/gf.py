@@ -17,6 +17,7 @@ import functools
 import numpy as np
 
 from . import polynomials
+from .caps import MAX_DENSE_DIM, MAX_FIELD_SIZE
 
 __all__ = [
     "FieldError",
@@ -34,7 +35,6 @@ __all__ = [
     "parse_matrix",
 ]
 
-MAX_FIELD_SIZE = 1 << 20
 # full multiplication/inverse tables only below this order
 _TABLE_LIMIT = 1 << 11
 
@@ -389,8 +389,6 @@ def field_of_order(q: int) -> FiniteField:
 
 # ---------------------------------------------------------------------------
 # dense linear algebra
-
-MAX_DENSE_DIM = 2048
 
 
 def _check_dims(A):

@@ -29,8 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bngroup import GLGroup
+from .caps import MAX_DENSE_DIM
 from .coxeter import CoxeterGroup
-from .gf import FiniteField, field, intersect_rowspaces, is_prime, kernel
+from .gf import FieldError, FiniteField, field, is_prime
+from .meataxe import fixed_points
 
 __all__ = [
     "HeckeError",
@@ -423,26 +425,20 @@ def is_sign_eigenvector_int(G: GLGroup, v) -> bool:
 def sign_eigenspace(G: GLGroup, ell: int) -> np.ndarray:
     """Basis rows of the common (-1)-eigenspace of all simple operators.
 
-    Computed as the intersection over s of the kernels of (T_s + 1) over
-    GF(ell); equals the Steinberg submodule of the flag permutation module.
+    Computed over GF(ell) as the common fixed space of the operators -T_s;
+    equals the Steinberg submodule of the flag permutation module.
     """
     F = _check_ell(G, ell)
-    basis = F.identity(G.index)
-    for s in range(G.weyl.rank):
-        m = act_on_borel_module(G, ell, G.weyl.gen_index(s))
-        m_plus_1 = F.mat_add(m, F.identity(G.index))
-        basis = intersect_rowspaces(F, basis, kernel(F, m_plus_1))
-    return basis
-
-
-MAX_CHECK_INDEX = 2000
+    negated = [F.mat_neg(act_on_borel_module(G, ell, G.weyl.gen_index(s)))
+               for s in range(G.weyl.rank)]
+    return fixed_points(F, negated, G.index)
 
 
 def hecke_check(G: GLGroup, ell: int) -> dict:
     """Relation, eigenvector and eigenspace summary used by the CLI."""
-    if G.index > MAX_CHECK_INDEX:
-        raise HeckeError(
-            f"flag count {G.index} exceeds check cap {MAX_CHECK_INDEX}")
+    if G.index > MAX_DENSE_DIM:
+        raise FieldError(
+            f"flag count {G.index} exceeds cap {MAX_DENSE_DIM}")
     F = _check_ell(G, ell)
     W = G.weyl
     mats = [act_on_borel_module(G, ell, w) for w in range(W.order)]

@@ -5,14 +5,16 @@ over GF(p^k), one per generator of whatever algebra or group is acting.
 Provides spinning (smallest invariant subspace containing given vectors),
 a seeded Norton-style irreducibility test with explicit witnesses,
 recursive composition factors with seed-independent fingerprints, sub-,
-quotient- and dual modules, homomorphism spaces by exact linear solving,
-and fixed points.
+quotient- and dual modules, homomorphism spaces and fixed points.
 
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
 the current basis, so no elimination sees more rows than the module has
-dimensions.  Fingerprints are computed on demand: factors of different
-dimensions are told apart without any characteristic polynomial.
+dimensions.  Hom spaces and fixed points cut their solution space down one
+generator at a time (Holt & Rees 1994), so no system is wider than the
+space of candidate maps or taller than the module.  Fingerprints are
+computed on demand: factors of different dimensions are told apart without
+any characteristic polynomial.
 
 Vectors are rows; a matrix A acts on the column vector v as A @ v, so the
 row form of the action is v -> v @ A.T.  All subspaces are returned as
@@ -27,10 +29,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .caps import MAX_DENSE_DIM, MAX_NORTON_TRIES
 from .gf import (
     FiniteField,
     charpoly,
-    intersect_rowspaces,
     inverse,
     kernel,
     rank,
@@ -67,8 +69,6 @@ __all__ = [
 
 DEFAULT_SEED = 214003
 FINGERPRINT_SEED = 977351
-MAX_NORTON_TRIES = 40
-MAX_HOM_ENTRIES = 2500
 
 
 class MeatAxeError(ValueError):
@@ -481,45 +481,38 @@ def multiplicity_of(simple: GModule, factors) -> int:
 # -- homomorphism spaces -----------------------------------------------------
 
 
-def _kron(F: FiniteField, A, B) -> np.ndarray:
-    ra, ca = A.shape
-    rb, cb = B.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=np.int64)
-    for i in range(ra):
-        for j in range(ca):
-            if A[i, j]:
-                out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = (
-                    F.scale(int(A[i, j]), B))
-    return out
-
-
 def hom_space(A: GModule, B: GModule):
     """Basis of the space of module maps A -> B, as dim(B) x dim(A) matrices.
 
     A map is a matrix X with X @ act_A(g) = act_B(g) @ X for every
-    generator; solved exactly as one stacked kernel computation.
+    generator.  Starting from all matrices, each generator keeps the
+    combinations of the current basis that X -> X A_g - B_g X sends to 0,
+    so no system has more than dim(A) * dim(B) rows or columns.
     """
     F = A.field
     if B.field != F:
         raise MeatAxeError("modules live over different fields")
     if len(A.mats) != len(B.mats):
         raise MeatAxeError("modules have different generator lists")
-    if A.dim * B.dim > MAX_HOM_ENTRIES:
+    da, db = A.dim, B.dim
+    if da * db > MAX_DENSE_DIM:
         raise ModuleCapError(
-            f"hom-space solve of size {A.dim * B.dim} exceeds cap "
-            f"{MAX_HOM_ENTRIES}")
-    if A.dim == 0 or B.dim == 0:
+            f"hom-space solve of size {da * db} exceeds cap {MAX_DENSE_DIM}")
+    if da == 0 or db == 0:
         return []
-    eye_a = F.identity(A.dim)
-    eye_b = F.identity(B.dim)
-    blocks = []
+    basis = F.identity(da * db)
     for Ag, Bg in zip(A.mats, B.mats):
-        blocks.append(F.mat_sub(_kron(F, eye_b, Ag.T.copy()),
-                                _kron(F, Bg, eye_a)))
-    if not blocks:
-        blocks.append(np.zeros((1, A.dim * B.dim), dtype=np.int64))
-    ker = kernel(F, np.vstack(blocks))
-    return [k.reshape(B.dim, A.dim) for k in ker]
+        k = basis.shape[0]
+        X = basis.reshape(k, db, da)
+        right = F.mat_mul(X.reshape(k * db, da), Ag).reshape(k, db * da)
+        left = F.mat_mul(Bg, X.transpose(1, 0, 2).reshape(db, k * da))
+        left = left.reshape(db, k, da).transpose(1, 0, 2).reshape(k, db * da)
+        # row i is the image of basis map i; keep the combinations that vanish
+        keep = kernel(F, F.mat_sub(right, left).T)
+        if keep.shape[0] == 0:
+            return []
+        basis = row_basis(F, F.mat_mul(keep, basis))
+    return [x.reshape(db, da) for x in basis]
 
 
 def is_isomorphic(A: GModule, B: GModule, seed: int = DEFAULT_SEED) -> bool:
@@ -553,7 +546,8 @@ def fixed_points(F: FiniteField, mats, dim: int) -> np.ndarray:
     basis = F.identity(dim)
     eye = F.identity(dim)
     for A in mats:
-        basis = intersect_rowspaces(F, basis, kernel(F, F.mat_sub(A, eye)))
+        moved = F.mat_mul(basis, F.mat_sub(A, eye).T)
+        basis = row_basis(F, F.mat_mul(kernel(F, moved.T), basis))
         if basis.shape[0] == 0:
             break
     return basis

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bngroup import GLGroup, build_gl
+from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
 from .gf import FiniteField, field, inverse, is_prime, rank
 from .hecke import alternating_sum_vector
 from .meataxe import (
@@ -40,8 +41,6 @@ from .meataxe import (
 
 __all__ = [
     "ModRepError",
-    "MAX_REGULAR_ORDER",
-    "MAX_INDUCED_DIM",
     "borel_module",
     "steinberg_element",
     "SteinbergData",
@@ -62,9 +61,6 @@ __all__ = [
     "GelfandGraevData",
     "gelfand_graev",
 ]
-
-MAX_REGULAR_ORDER = 512
-MAX_INDUCED_DIM = 2048
 
 
 class ModRepError(ValueError):
@@ -248,8 +244,8 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
                      fix_dim=int(fix.shape[0]))
 
 
-def parabolic_perm_module(G: GLGroup, composition, ell: int, d: int = 1,
-                          check: bool = True) -> GModule:
+def parabolic_perm_module(G: GLGroup, composition, ell: int,
+                          d: int = 1) -> GModule:
     """Permutation module on the partial flag space of the given shape."""
     F = _module_field(G, ell, d)
     P = G.parabolic(composition)
@@ -262,8 +258,7 @@ def parabolic_perm_module(G: GLGroup, composition, ell: int, d: int = 1,
                 label=(f"partial flag module of type {P.composition} "
                        f"of {G!r} over GF({F.order})"),
                 act=act, check=False)
-    if check:
-        _spot_check_action(G, M)
+    _spot_check_action(G, M)
     return M
 
 
@@ -365,7 +360,7 @@ class LeviPermutationModule:
             out = np.kron(out, _perm_matrix(factor.coset_permutation(block)))
         return out
 
-    def to_gmodule(self, G: GLGroup, check: bool = False) -> GModule:
+    def to_gmodule(self, G: GLGroup) -> GModule:
         """The same module with matrices in levi_generators order."""
         P = G.parabolic(self.composition)
 
@@ -374,7 +369,7 @@ class LeviPermutationModule:
 
         mats = [act(l) for l in levi_generators(G, self.composition)]
         return GModule(self.field, mats, dim=self.dim, label=self.label,
-                       act=act, check=check)
+                       act=act, check=False)
 
 
 def levi_trivial_module(G: GLGroup, composition,
@@ -387,8 +382,7 @@ def levi_borel_module(G: GLGroup, composition,
     return LeviPermutationModule(F, composition, G.q, "borel")
 
 
-def hc_induce(G: GLGroup, composition, X: LeviPermutationModule,
-              check: bool = True) -> GModule:
+def hc_induce(G: GLGroup, composition, X: LeviPermutationModule) -> GModule:
     """Harish-Chandra induction: inflate a Levi module through the standard
     parabolic, then induce along its coset space.
 
@@ -401,10 +395,10 @@ def hc_induce(G: GLGroup, composition, X: LeviPermutationModule,
     reps = P.cosets.reps
     width = X.dim
     total = len(reps) * width
-    if total > MAX_INDUCED_DIM:
+    if total > MAX_DENSE_DIM:
         raise ModuleCapError(
             f"induced module of dimension {total} exceeds cap "
-            f"{MAX_INDUCED_DIM}")
+            f"{MAX_DENSE_DIM}")
     Fq = G.field
 
     def act(g):
@@ -419,8 +413,7 @@ def hc_induce(G: GLGroup, composition, X: LeviPermutationModule,
     M = GModule(X.field, mats, dim=total,
                 label=f"induction of {X.label} to {G!r}", act=act,
                 check=False)
-    if check:
-        _spot_check_action(G, M)
+    _spot_check_action(G, M)
     return M
 
 
@@ -431,21 +424,22 @@ def hc_adjoint_hom_dims(G: GLGroup, composition, X: LeviPermutationModule,
     Returns (dim Hom_G(induced X, M), dim Hom_L(X, restricted M)); the two
     must agree.
     """
-    ind = hc_induce(G, composition, X, check=False)
+    ind = hc_induce(G, composition, X)
     res = hc_restrict(G, composition, M)
     XL = X.to_gmodule(G)
     return len(hom_space(ind, M)), len(hom_space(XL, res))
 
 
-def group_elements(G: GLGroup, cap: int = MAX_REGULAR_ORDER) -> tuple:
+def group_elements(G: GLGroup) -> tuple:
     """All group elements by breadth-first products of generators.
 
     Returns (elements, index) with index keyed by matrix bytes; refuses
-    groups larger than the cap.
+    groups larger than MAX_REGULAR_ORDER.
     """
-    if G.order_g > cap:
+    if G.order_g > MAX_REGULAR_ORDER:
         raise ModuleCapError(
-            f"group of order {G.order_g} exceeds the enumeration cap {cap}")
+            f"group of order {G.order_g} exceeds the enumeration cap "
+            f"{MAX_REGULAR_ORDER}")
     F = G.field
     start = G.identity_element()
     elements = [start]

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from steinberg import cli, hecke, modrep
+from steinberg.bngroup import GLGroup
+from steinberg.caps import MAX_DENSE_DIM
 from steinberg.cli import main
 from steinberg.gf import FieldError
 from steinberg.meataxe import DEFAULT_SEED, ModuleCapError
@@ -151,6 +153,34 @@ def test_verify_builds_the_alternating_vector_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_gl42_ell7_socle_needs_no_kronecker_system(capsys):
+    # the 19-dimensional socle's hom space: 6 * 19 * 19 = 2166 rows in one
+    # Kronecker system, over the dense cap; 361 per generator
+    code, payload = run_json(
+        capsys, "verify", "--n", "4", "--q", "2", "--ell", "7")
+    assert code == 0
+    assert len(payload["checks"]) == 9
+    assert all(c["pass"] for c in payload["checks"])
+    assert payload["factors"] == [{"dim": 19, "mult": 1},
+                                  {"dim": 45, "mult": 1}]
+
+
+@pytest.mark.parametrize("command", ["verify", "hecke-check"])
+def test_oversized_group_is_refused_before_any_flag_work(
+        capsys, monkeypatch, command):
+    def untouchable(self):
+        raise AssertionError("flag work started on an oversized group")
+
+    monkeypatch.setattr(GLGroup, "cosets", property(untouchable))
+    monkeypatch.setattr(GLGroup, "cell_table", property(untouchable))
+    code, payload = run_json(
+        capsys, command, "--n", "4", "--q", "3", "--ell", "2")
+    assert code == 2
+    assert payload["error"] == {
+        "code": "FieldError",
+        "message": f"flag count 2080 exceeds cap {MAX_DENSE_DIM}"}
+
+
 def test_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("STEINBERG_SEED", "999")
     _, payload = run_json(
@@ -206,14 +236,9 @@ def test_table_lookup_and_socle_table_fallback(capsys):
 
 
 def test_max_index_cap(capsys):
-    code, payload = run_json(
-        capsys, "verify", "--n", "3", "--q", "3", "--ell", "2",
-        "--max-index", "10")
-    assert code == 2
-    assert "--max-index" in payload["error"]["message"]
     code, payload = run_json(capsys, "group-report", "--n", "5", "--q", "3")
     assert code == 2
-    assert payload["error"]["code"] == "ValueError"
+    assert payload["error"]["code"] == "GroupError"
 
 
 def test_text_format(capsys):

@@ -4,6 +4,7 @@ and the realized action on flag cosets with its sign eigenvector."""
 import numpy as np
 import pytest
 
+from steinberg import gf
 from steinberg.bngroup import build_gl
 from steinberg.coxeter import build_weyl
 from steinberg.gf import field, kernel, rank
@@ -436,3 +437,15 @@ def test_algebra_for_group_uses_group_parameters():
     H2 = hecke_for_group(G, ring=K)
     assert H2.params == [K.from_int(3)]
     assert H2.check_quadratic() and H2.check_braid()
+
+
+def test_sign_eigenspace_never_echelonizes_wider_than_the_flags(monkeypatch):
+    # an intersection of row spaces by Zassenhaus is 2 * |G/B| wide
+    G = build_gl(2, 2)
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", G.index)
+    F = field(3)
+    basis = sign_eigenspace(G, 3)
+    assert basis.shape == (2, 3)
+    for s in range(G.weyl.rank):
+        m = act_on_borel_module(G, 3, G.weyl.gen_index(s))
+        assert np.array_equal(F.mat_mul(basis, m.T), F.mat_neg(basis))

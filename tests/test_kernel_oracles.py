@@ -4,21 +4,38 @@ The oracles below are the earlier implementations, kept verbatim apart from
 input checks: `rref` updated whole rows per pivot, `charpoly` applied one
 row and one column operation per entry and ran its recurrence in scalar
 field arithmetic, `_spin_rows` re-multiplied and re-echelonized its whole
-basis every round, and sub- and quotient actions reduced one vector at a
-time.  Every current kernel returns a canonical object (an RREF basis, a
-characteristic polynomial, a matrix in a canonical basis), so the outputs
-must agree exactly.
+basis every round, sub- and quotient actions reduced one vector at a time,
+`hom_space` solved one Kronecker system for all generators at once, and
+`fixed_points` intersected eigenspaces by Zassenhaus.  Every current kernel
+returns a canonical object (an RREF basis, a characteristic polynomial, a
+matrix in a canonical basis), so the outputs must agree exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steinberg.gf import charpoly, field, reduce_mod_rowspace, rref
-from steinberg.meataxe import GModule, quotient_module, spin, submodule_module
+from steinberg.gf import (
+    charpoly,
+    field,
+    intersect_rowspaces,
+    inverse,
+    kernel,
+    reduce_mod_rowspace,
+    rref,
+)
+from steinberg.meataxe import (
+    GModule,
+    fixed_points,
+    hom_space,
+    quotient_module,
+    spin,
+    submodule_module,
+)
 
 FIELDS = (field(2), field(3), field(2, 2), field(13))
 MAX_DIM = 12
+MAX_HOM_DIM = 6
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
                     database=None)
 
@@ -129,6 +146,44 @@ def project_oracle(F, basis, pivots, A):
     return out
 
 
+def kron_oracle(F, A, B):
+    ra, ca = A.shape
+    rb, cb = B.shape
+    out = np.zeros((ra * rb, ca * cb), dtype=np.int64)
+    for i in range(ra):
+        for j in range(ca):
+            if A[i, j]:
+                out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = (
+                    F.scale(int(A[i, j]), B))
+    return out
+
+
+def hom_space_oracle(A, B):
+    F = A.field
+    if A.dim == 0 or B.dim == 0:
+        return []
+    eye_a = F.identity(A.dim)
+    eye_b = F.identity(B.dim)
+    blocks = []
+    for Ag, Bg in zip(A.mats, B.mats):
+        blocks.append(F.mat_sub(kron_oracle(F, eye_b, Ag.T.copy()),
+                                kron_oracle(F, Bg, eye_a)))
+    if not blocks:
+        blocks.append(np.zeros((1, A.dim * B.dim), dtype=np.int64))
+    ker = kernel(F, np.vstack(blocks))
+    return [k.reshape(B.dim, A.dim) for k in ker]
+
+
+def fixed_points_oracle(F, mats, dim):
+    basis = F.identity(dim)
+    eye = F.identity(dim)
+    for A in mats:
+        basis = intersect_rowspaces(F, basis, kernel(F, F.mat_sub(A, eye)))
+        if basis.shape[0] == 0:
+            break
+    return basis
+
+
 # -- strategies --------------------------------------------------------------
 
 
@@ -177,6 +232,66 @@ def modules_and_seeds(draw):
     return F, mats, dim, seeds
 
 
+@st.composite
+def invertible_matrices(draw, F, n):
+    """Unit lower times upper triangular with a nonzero diagonal."""
+    lower = np.tril(draw(codes(F, (n, n))), -1) + F.identity(n)
+    upper = np.triu(draw(codes(F, (n, n))), 1)
+    diag = draw(arrays(np.int64, n, elements=st.integers(1, F.order - 1)))
+    return F.mat_mul(lower, upper + np.diag(diag))
+
+
+@st.composite
+def module_pairs(draw):
+    """Modules A, B on the same generators, often with nonzero homs.
+
+    B is unrelated to A, a conjugate P A P^-1 of it (homs include P), or
+    A plus a trivial summand (homs include the inclusion).
+    """
+    F = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(0, MAX_HOM_DIM))
+    gens = draw(st.integers(1, 3))
+    mats = [draw(codes(F, (dim, dim))).copy() for _ in range(gens)]
+    if draw(st.booleans()):
+        split = draw(st.integers(0, dim))
+        for X in mats:
+            X[split:, :split] = 0
+    kind = draw(st.sampled_from(("unrelated", "conjugate", "plus_trivial")))
+    if kind == "unrelated":
+        other = draw(st.integers(0, MAX_HOM_DIM))
+        others = [draw(codes(F, (other, other))) for _ in range(gens)]
+    elif kind == "conjugate":
+        P = draw(invertible_matrices(F, dim))
+        P_inv = inverse(F, P)
+        others = [F.mat_mul(F.mat_mul(P, X), P_inv) for X in mats]
+    else:
+        others = []
+        for X in mats:
+            Y = F.identity(dim + 1)
+            Y[:dim, :dim] = X
+            others.append(Y)
+    A = GModule(F, mats, dim=dim, check=False)
+    B = GModule(F, others, dim=others[0].shape[0], check=False)
+    return A, B
+
+
+@st.composite
+def matrices_with_fixed_points(draw):
+    """0-4 matrices, often fixing a shared subspace in a shared basis."""
+    F = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(0, MAX_DIM))
+    mats = [draw(codes(F, (dim, dim))).copy()
+            for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        fixed = draw(st.integers(0, dim))
+        P = draw(invertible_matrices(F, dim))
+        P_inv = inverse(F, P)
+        for i, X in enumerate(mats):
+            X[:, :fixed] = F.identity(dim)[:, :fixed]
+            mats[i] = F.mat_mul(F.mat_mul(P, X), P_inv)
+    return F, mats, dim
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -211,3 +326,23 @@ def test_spin_and_derived_actions_match_oracles(case):
         if basis.shape[0]:
             assert np.array_equal(S, restrict_oracle(F, basis, pivots, A))
         assert np.array_equal(Q, project_oracle(F, basis, pivots, A))
+
+
+@SETTINGS
+@given(module_pairs())
+def test_hom_space_matches_kronecker_oracle(case):
+    A, B = case
+    for X, Y in ((A, B), (B, A)):
+        homs = hom_space(X, Y)
+        old = hom_space_oracle(X, Y)
+        assert len(homs) == len(old)
+        for h, h_old in zip(homs, old):
+            assert np.array_equal(h, h_old)
+
+
+@SETTINGS
+@given(matrices_with_fixed_points())
+def test_fixed_points_match_zassenhaus_oracle(case):
+    F, mats, dim = case
+    assert np.array_equal(fixed_points(F, mats, dim),
+                          fixed_points_oracle(F, mats, dim))

@@ -238,3 +238,23 @@ def test_factors_of_distinct_dimensions_need_no_fingerprints(monkeypatch):
     factors[0].fingerprint
     factors[0].fingerprint  # computed once, then cached
     assert len(callers) == norton_calls + 6
+
+
+def test_fixed_points_never_echelonize_wider_than_the_dimension(monkeypatch):
+    # intersecting each fixed space with the running basis stacks both side
+    # by side, 2 * dim columns; restricting to the running basis needs dim
+    M = s3_permutation_module(F3)
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", M.dim)
+    assert fixed_points(F3, M.mats, M.dim).tolist() == [[1, 1, 1]]
+
+
+def test_hom_space_never_solves_more_rows_than_its_unknowns(monkeypatch):
+    # one Kronecker system for all generators has gens * dim(A) * dim(B)
+    # rows; one generator at a time needs dim(A) * dim(B)
+    M = s3_permutation_module(F3)
+    T = trivial_module(F3)
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", M.dim * M.dim)
+    assert len(hom_space(M, M)) == 2
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", M.dim * T.dim)
+    assert [h.tolist() for h in hom_space(M, T)] == [[[1, 1, 1]]]
+    assert [h.tolist() for h in hom_space(T, M)] == [[[1], [1], [1]]]
