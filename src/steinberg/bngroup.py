@@ -204,12 +204,6 @@ class GLGroup:
             gens.append(self.weyl_rep(self.weyl.index[self.weyl.gens[s]]))
         return gens
 
-    @cached_property
-    def unipotent_generators(self) -> list:
-        """Simple-root elements x_{i,i+1}(c), c != 0; they generate U."""
-        return [self.root_element(i, c)
-                for i in range(self.n - 1) for c in range(1, self.q)]
-
     # -- membership helpers ------------------------------------------------
 
     def is_invertible(self, g) -> bool:

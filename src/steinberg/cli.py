@@ -39,10 +39,9 @@ from .combinat import (
 )
 from .gf import FieldError
 from .hecke import (
-    act_on_borel_module,
     alternating_sum_vector,
     hecke_check,
-    is_sign_eigenvector_int,
+    is_sign_eigenvector,
     sign_eigenspace,
 )
 from .meataxe import (
@@ -101,22 +100,14 @@ def cmd_verify(args) -> tuple:
     lap("cell_table")
 
     alternating = alternating_sum_vector(G)
-    ok = is_sign_eigenvector_int(G, alternating)
+    ok = is_sign_eigenvector(G, alternating)
     _check(checks, "sign_eigenvector_integer", ok,
            f"{W.order} Weyl operators on {G.index} flags")
     lap("integer_eigenvector")
 
     data = steinberg_module(G, ell, alternating=alternating)
-    F = data.parent.field
-    e_mod = data.vector
-    ok = True
-    for w in range(W.order):
-        M = act_on_borel_module(G, ell, w)
-        sign = F.from_int((-1) ** W.length(w))
-        if not np.array_equal(F.mat_vec(M, e_mod), F.scale(sign, e_mod)):
-            ok = False
-            break
-    _check(checks, "sign_eigenvector_mod_ell", ok,
+    _check(checks, "sign_eigenvector_mod_ell",
+           is_sign_eigenvector(G, data.vector, modulus=ell),
            f"entries reduced mod {ell}")
 
     st_dim = data.basis.shape[0]

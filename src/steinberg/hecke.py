@@ -19,9 +19,9 @@ the operator of a product T_x T_y is (matrix of T_y) @ (matrix of T_x); the
 relation checks below pin that convention.  The all-important alternating
 sum over the Weyl group (the Steinberg element) is an integer eigenvector
 of every realized operator with eigenvalue (-1)^l(w), here checked over the
-integers so the statement descends to every coefficient field; that check
-reads T_w e from the cell table rows on the support of e, without operator
-matrices.
+integers so the statement descends to every coefficient field, and also
+modulo a prime; the check reads T_w e from the cell table rows on the
+support of e, without operator matrices.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "borel_matrices_int",
     "act_on_borel_module",
     "alternating_sum_vector",
-    "is_sign_eigenvector_int",
+    "is_sign_eigenvector",
     "sign_eigenspace",
     "hecke_check",
 ]
@@ -404,8 +404,9 @@ def alternating_sum_vector(G: GLGroup) -> np.ndarray:
     return e
 
 
-def is_sign_eigenvector_int(G: GLGroup, v) -> bool:
-    """True when T_w v = (-1)^l(w) v over the integers for every w.
+def is_sign_eigenvector(G: GLGroup, v, modulus=None) -> bool:
+    """True when T_w v = (-1)^l(w) v for every w, over the integers, or
+    modulo `modulus` when one is given.
 
     Reads (T_w v)[j] = sum of v[i] over the support of v with
     cell_table[i, j] = w straight from the cell table, so no operator
@@ -417,7 +418,8 @@ def is_sign_eigenvector_int(G: GLGroup, v) -> bool:
     coeffs = v[support]
     for w in range(G.weyl.order):
         sign = -1 if G.weyl.length(w) % 2 else 1
-        if not np.array_equal(coeffs @ (rows == w), sign * v):
+        diff = coeffs @ (rows == w) - sign * v
+        if (diff if modulus is None else diff % modulus).any():
             return False
     return True
 
@@ -462,7 +464,7 @@ def hecke_check(G: GLGroup, ell: int) -> dict:
         if not np.array_equal(prod, mats[w]):
             relations_ok = False
 
-    lemma_ok = is_sign_eigenvector_int(G, alternating_sum_vector(G))
+    lemma_ok = is_sign_eigenvector(G, alternating_sum_vector(G))
 
     dim = int(sign_eigenspace(G, ell).shape[0])
     return {

@@ -12,6 +12,12 @@ defining characteristic of the group.  All modules are meataxe.GModule
 instances carrying an `act` callable for arbitrary group elements, so
 fixed points under any subgroup and transported actions on submodules
 come for free.
+
+Every permutation module here (flag, partial flag, induced, Levi and
+regular) is built in one place, `_permutation_module`, from a map sending a
+group element to its permutation of the basis; its action is spot-checked
+there, on permutations.  The unipotent fixed space of the Steinberg module
+is read from the Bruhat cells, which are the U-orbits on the flags.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 
 from .bngroup import GLGroup, build_gl
 from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
-from .gf import FiniteField, field, inverse, is_prime, rank
+from .gf import (FiniteField, field, inverse, is_prime, kernel, rank, rref,
+                 row_basis)
 from .hecke import alternating_sum_vector
 from .meataxe import (
     DEFAULT_SEED,
@@ -86,35 +93,33 @@ def _perm_matrix(perm) -> np.ndarray:
     return out
 
 
-def _spot_check_action(G: GLGroup, M: GModule) -> None:
-    """Compare act on a few generator products against matrix products."""
-    gens = G.generators
-    if not gens:
-        return
-    m = len(gens)
-    pairs = {(0, m - 1), (m - 1, 0), (m // 2, m // 2)}
+def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
+                        dim: int, label: str) -> GModule:
+    """Permutation module over F of the group generated by `gens`.
+
+    `perm_of(g)` is the permutation i -> g.i of the `dim` basis vectors for
+    a group element g (matrices over Fq); `act` is its permutation matrix.
+    Multiplicativity is spot-checked on three generator products, on the
+    permutations themselves.
+    """
+    perms = [perm_of(g) for g in gens]
+    m = len(perms)
+    pairs = {(0, m - 1), (m - 1, 0), (m // 2, m // 2)} if m else set()
     for i, j in pairs:
-        product = G.field.mat_mul(gens[i], gens[j])
-        left = M.act(product)
-        right = M.field.mat_mul(M.mats[i], M.mats[j])
-        if not np.array_equal(left, right):
+        product = perm_of(Fq.mat_mul(gens[i], gens[j]))
+        if not np.array_equal(product, perms[i][perms[j]]):
             raise ModRepError(
                 "action map is not multiplicative on generator products")
+    return GModule(F, [_perm_matrix(p) for p in perms], dim=dim, label=label,
+                   act=lambda g: _perm_matrix(perm_of(g)), check=False)
 
 
 def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
     """Permutation module on the complete flag space over GF(ell^d)."""
     F = _module_field(G, ell, d)
-
-    def act(g):
-        return _perm_matrix(G.coset_permutation(g))
-
-    mats = [act(g) for g in G.generators]
-    M = GModule(F, mats, dim=G.index,
-                label=f"flag module of {G!r} over GF({F.order})",
-                act=act, check=False)
-    _spot_check_action(G, M)
-    return M
+    return _permutation_module(
+        G.field, G.generators, F, G.coset_permutation, G.index,
+        f"flag module of {G!r} over GF({F.order})")
 
 
 def steinberg_element(G: GLGroup, ell: int, d: int = 1,
@@ -180,14 +185,12 @@ def steinberg_theta_identity(G: GLGroup) -> bool:
     """
     e = alternating_sum_vector(G)
     W = G.weyl
-    signed = np.zeros((G.index, G.index), dtype=np.int64)
-    for w in range(W.order):
-        P = _perm_matrix(G.coset_permutation(G.weyl_rep(w)))
-        signed += (-1) ** W.length(w) * P
-    usum = np.zeros((G.index, G.index), dtype=np.int64)
+    usum = np.zeros_like(e)
     for u in G.unipotent_elements():
-        usum += _perm_matrix(G.coset_permutation(u))
-    lhs = signed @ (usum @ e)
+        usum[G.coset_permutation(u)] += e   # u sends flag i to perm[i]
+    lhs = np.zeros_like(e)
+    for w in range(W.order):
+        lhs[G.coset_permutation(G.weyl_rep(w))] += (-1) ** W.length(w) * usum
     return bool(np.array_equal(lhs, G.index * e))
 
 
@@ -209,9 +212,9 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
     `steinberg` is steinberg_module(G, ell, d) for this G; the socle is
     spun inside its flag module, over its coefficient field.  Verifies that
     the generated submodule is irreducible and that the unipotent fixed
-    space of the Steinberg module (the common fixed space of the
-    simple-root generators of U) is one-dimensional, so the socle is simple
-    and found in full.  Raises ModRepError when the unipotent average
+    space of the Steinberg module (read from the Bruhat cells, see
+    _unipotent_fixed_rows) is one-dimensional, so the socle is simple and
+    found in full.  Raises ModRepError when the unipotent average
     vanishes or either check fails.
     """
     M = steinberg.parent
@@ -220,8 +223,10 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
             f"the Steinberg data lives on {M.dim} flags, but {G!r} has "
             f"{G.index}")
     F = M.field
-    theta = unipotent_sum(G, F)
-    v = F.mat_vec(theta, steinberg.vector)
+    v = F.zeros(G.index)
+    for u in G.unipotent_elements():
+        perm = G.coset_permutation(u)   # u sends flag i to perm[i]
+        v[perm] = F.mat_add(v[perm], steinberg.vector)
     if not v.any():
         raise ModRepError("the unipotent average of the alternating vector "
                           "vanished; no socle generator")
@@ -232,16 +237,30 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
     if not verdict:
         raise ModRepError("the submodule generated by the unipotent average "
                           "is not irreducible")
-    St = steinberg.module
-    # generators of U have the same fixed space as all of U
-    umats = [St.act(u) for u in G.unipotent_generators]
-    fix = fixed_points(F, umats, St.dim)
-    if fix.shape[0] != 1:
+    fix_dim = _unipotent_fixed_rows(G, F, steinberg.basis).shape[0]
+    if fix_dim != 1:
         raise ModRepError(
             f"unipotent fixed space of the Steinberg module has dimension "
-            f"{fix.shape[0]}, expected 1")
+            f"{fix_dim}, expected 1")
     return SocleData(steinberg=steinberg, vector=v, basis=basis, module=Y,
-                     fix_dim=int(fix.shape[0]))
+                     fix_dim=fix_dim)
+
+
+def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:
+    """Canonical rows, in flag coordinates, of the U-fixed vectors in the
+    span of the RREF `basis` of an invariant subspace of the flag module.
+
+    The U-orbits on the flags are the Bruhat cells, so the U-fixed flag
+    vectors are spanned by the cell indicators; a combination `a @ cells`
+    lies in the span exactly when its residue modulo the basis vanishes.
+    """
+    basis, piv = rref(F, np.asarray(basis, dtype=np.int64))
+    basis = basis[:len(piv)]
+    row0 = G.cell_table[0]
+    cells = np.array([row0 == w for w in range(G.weyl.order)],
+                     dtype=np.int64)
+    residue = F.mat_sub(cells, F.mat_mul(cells[:, piv], basis))
+    return row_basis(F, F.mat_mul(kernel(F, residue.T), cells))
 
 
 def parabolic_perm_module(G: GLGroup, composition, ell: int,
@@ -249,17 +268,10 @@ def parabolic_perm_module(G: GLGroup, composition, ell: int,
     """Permutation module on the partial flag space of the given shape."""
     F = _module_field(G, ell, d)
     P = G.parabolic(composition)
-
-    def act(g):
-        return _perm_matrix(P.coset_permutation(g))
-
-    mats = [act(g) for g in G.generators]
-    M = GModule(F, mats, dim=P.cosets.size,
-                label=(f"partial flag module of type {P.composition} "
-                       f"of {G!r} over GF({F.order})"),
-                act=act, check=False)
-    _spot_check_action(G, M)
-    return M
+    return _permutation_module(
+        G.field, G.generators, F, P.coset_permutation, P.cosets.size,
+        f"partial flag module of type {P.composition} of {G!r} over "
+        f"GF({F.order})")
 
 
 def levi_generators(G: GLGroup, composition) -> list:
@@ -319,11 +331,11 @@ def hc_restrict(G: GLGroup, composition, M: GModule) -> GModule:
 class LeviPermutationModule:
     """A blockwise permutation module of a Levi subgroup.
 
-    `action_of(blocks)` maps the list of diagonal blocks of a Levi element
-    to its matrix.  Kind "trivial" is the one-dimensional module with every
-    block acting as 1; kind "borel" is the tensor product of the complete
-    flag modules of the diagonal factors, with the leftmost block varying
-    slowest in the Kronecker ordering of the basis.
+    `perm_of(blocks)` maps the list of diagonal blocks of a Levi element
+    to its permutation of the basis.  Kind "trivial" is the one-dimensional
+    module with every block acting as 1; kind "borel" is the tensor product
+    of the complete flag modules of the diagonal factors, with the leftmost
+    block varying slowest in the Kronecker ordering of the basis.
     """
 
     def __init__(self, coeff_field: FiniteField, composition, q: int,
@@ -348,28 +360,26 @@ class LeviPermutationModule:
         return (f"LeviPermutationModule({self.kind!r}, {self.composition}, "
                 f"q={self.q}, dim={self.dim})")
 
-    def action_of(self, blocks) -> np.ndarray:
+    def perm_of(self, blocks) -> np.ndarray:
         if len(blocks) != len(self.composition):
             raise ModRepError(
                 f"expected {len(self.composition)} diagonal blocks, "
                 f"got {len(blocks)}")
+        out = np.zeros(1, dtype=np.int64)
         if self.kind == "trivial":
-            return np.ones((1, 1), dtype=np.int64)
-        out = np.ones((1, 1), dtype=np.int64)
+            return out
         for factor, block in zip(self.factors, blocks):
-            out = np.kron(out, _perm_matrix(factor.coset_permutation(block)))
+            b = factor.coset_permutation(block)
+            # Kronecker product of permutations, as a mixed-radix index
+            out = (out[:, None] * len(b) + b).ravel()
         return out
 
     def to_gmodule(self, G: GLGroup) -> GModule:
         """The same module with matrices in levi_generators order."""
         P = G.parabolic(self.composition)
-
-        def act(l):
-            return self.action_of(P.levi_blocks(l))
-
-        mats = [act(l) for l in levi_generators(G, self.composition)]
-        return GModule(self.field, mats, dim=self.dim, label=self.label,
-                       act=act, check=False)
+        return _permutation_module(
+            G.field, levi_generators(G, self.composition), self.field,
+            lambda l: self.perm_of(P.levi_blocks(l)), self.dim, self.label)
 
 
 def levi_trivial_module(G: GLGroup, composition,
@@ -401,20 +411,16 @@ def hc_induce(G: GLGroup, composition, X: LeviPermutationModule) -> GModule:
             f"{MAX_DENSE_DIM}")
     Fq = G.field
 
-    def act(g):
-        big = np.zeros((total, total), dtype=np.int64)
-        for j in range(len(reps)):
-            i, p = P.decompose(Fq.mat_mul(g, reps[j]))
-            block = X.action_of(P.levi_blocks(p))
-            big[i * width:(i + 1) * width, j * width:(j + 1) * width] = block
-        return big
+    def perm_of(g):
+        out = np.empty(total, dtype=np.int64)
+        for j, rep in enumerate(reps):
+            i, p = P.decompose(Fq.mat_mul(g, rep))
+            out[j * width:(j + 1) * width] = (
+                i * width + X.perm_of(P.levi_blocks(p)))
+        return out
 
-    mats = [act(g) for g in G.generators]
-    M = GModule(X.field, mats, dim=total,
-                label=f"induction of {X.label} to {G!r}", act=act,
-                check=False)
-    _spot_check_action(G, M)
-    return M
+    return _permutation_module(Fq, G.generators, X.field, perm_of, total,
+                               f"induction of {X.label} to {G!r}")
 
 
 def hc_adjoint_hom_dims(G: GLGroup, composition, X: LeviPermutationModule,
@@ -518,16 +524,13 @@ def gelfand_graev(G: GLGroup, character,
             idempotent_ok = False
             break
 
-    def regular_act(g):
-        out = np.zeros((len(elements), len(elements)), dtype=np.int64)
-        for j, x in enumerate(elements):
-            out[index[Fq.mat_mul(g, x).tobytes()], j] = 1
-        return out
+    def regular_perm(g):
+        return np.array([index[Fq.mat_mul(g, x).tobytes()] for x in elements],
+                        dtype=np.int64)
 
-    regular = GModule(F, [regular_act(g) for g in G.generators],
-                      dim=len(elements),
-                      label=f"regular module of {G!r} over GF({F.order})",
-                      act=regular_act, check=False)
+    regular = _permutation_module(
+        Fq, G.generators, F, regular_perm, len(elements),
+        f"regular module of {G!r} over GF({F.order})")
     seed_vector = np.zeros(len(elements), dtype=np.int64)
     for u, value in zip(unipotents, values):
         seed_vector[index[u.tobytes()]] = value

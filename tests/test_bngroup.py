@@ -237,26 +237,6 @@ def test_coset_permutation_matches_flag_canonicalization(n, q):
         G.coset_permutation(G.field.zeros((n, n)))
 
 
-@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (2, 4)])
-def test_unipotent_generators_generate_u(n, q):
-    G = build_gl(n, q)
-    gens = G.unipotent_generators
-    assert all(G.in_unipotent(u) for u in gens)
-    start = G.identity_element()
-    seen = {start.tobytes()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for u in gens:
-                y = G.field.mat_mul(u, x)
-                if y.tobytes() not in seen:
-                    seen.add(y.tobytes())
-                    nxt.append(y)
-        frontier = nxt
-    assert len(seen) == q ** (n * (n - 1) // 2) == G.order_u
-
-
 def test_parabolic_basics():
     G = build_gl(3, 2)
     P = G.parabolic((2, 1))

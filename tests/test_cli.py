@@ -153,6 +153,22 @@ def test_verify_builds_the_alternating_vector_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_reads_hecke_operators_from_the_cell_table(capsys, monkeypatch):
+    # only sign_eigenspace builds operator matrices: one per simple reflection
+    calls = []
+    original = hecke.act_on_borel_module
+
+    def counted(G, ell, w):
+        calls.append(w)
+        return original(G, ell, w)
+
+    monkeypatch.setattr(hecke, "act_on_borel_module", counted)
+    monkeypatch.setattr(cli, "act_on_borel_module", counted, raising=False)
+    code, _ = run_json(capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_verify_gl42_ell7_socle_needs_no_kronecker_system(capsys):
     # the 19-dimensional socle's hom space: 6 * 19 * 19 = 2166 rows in one
     # Kronecker system, over the dense cap; 361 per generator

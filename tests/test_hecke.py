@@ -18,6 +18,7 @@ from steinberg.hecke import (
     borel_matrices_int,
     hecke_check,
     hecke_for_group,
+    is_sign_eigenvector,
     sign_eigenspace,
 )
 
@@ -325,6 +326,30 @@ def test_sign_eigenvector_over_integers_and_mod_ell():
                 m = act_on_borel_module(G, ell, w)
                 sign = F.from_int(-1 if G.weyl.length(w) % 2 else 1)
                 assert np.array_equal(F.mat_vec(m, e_mod), F.scale(sign, e_mod))
+
+
+def test_cell_table_sign_check_agrees_with_operator_matrices():
+    # the dense operator matrices are the oracle for the cell-table check,
+    # over the integers and modulo each ell
+    rng = np.random.default_rng(7)
+    for (n, q), ells in SIGN_CASES.items():
+        G = build_gl(n, q)
+        e = alternating_sum_vector(G)
+        mats = borel_matrices_int(G)
+        signs = [-1 if G.weyl.length(w) % 2 else 1
+                 for w in range(G.weyl.order)]
+        bump = np.zeros_like(e)
+        bump[-1] = 1
+        for v in (e, e + 3 * bump, rng.integers(-2, 3, G.index)):
+            for modulus in (None,) + ells:
+                def reduce(x):
+                    return x if modulus is None else x % modulus
+                dense = all(np.array_equal(reduce(m @ v), reduce(s * v))
+                            for m, s in zip(mats, signs))
+                assert is_sign_eigenvector(G, v, modulus) == dense
+        assert is_sign_eigenvector(G, e)
+        assert not is_sign_eigenvector(G, e + 3 * bump)
+        assert is_sign_eigenvector(G, e + 3 * bump, modulus=3)
 
 
 def test_sign_eigenspace_dimensions():

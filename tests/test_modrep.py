@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from steinberg import modrep
-from steinberg.bngroup import build_gl
+from steinberg.bngroup import GLGroup, build_gl
 from steinberg.combinat import (
     dominance_leq,
     partitions,
     quantum_characteristic,
     socle_partition,
 )
-from steinberg.gf import field, rank, rref, reduce_mod_rowspace
+from steinberg.gf import field, rank, rref, reduce_mod_rowspace, row_basis
 from steinberg.hecke import sign_eigenspace
 from steinberg.meataxe import (
     ModuleCapError,
@@ -133,6 +133,29 @@ def test_coefficient_field_guards():
         parabolic_perm_module(group(2, 3), (1, 1), 3)
 
 
+def test_flag_module_of_a_group_without_generators():
+    G = build_gl(1, 2)
+    assert G.generators == []
+    M = borel_module(G, 3)
+    assert M.dim == 1 and M.mats == []
+    assert np.array_equal(M.act(G.identity_element()), [[1]])
+
+
+def test_borel_module_refuses_a_non_multiplicative_action(monkeypatch):
+    G = build_gl(3, 2)
+    gens = G.generators
+    bad = G.field.mat_mul(gens[0], gens[-1]).tobytes()
+    original = GLGroup.coset_permutation
+
+    def wrong_on_one_product(self, g):
+        perm = original(self, g)
+        return np.roll(perm, 1) if np.asarray(g).tobytes() == bad else perm
+
+    monkeypatch.setattr(GLGroup, "coset_permutation", wrong_on_one_product)
+    with pytest.raises(ModRepError, match="not multiplicative"):
+        borel_module(G, 7)
+
+
 def test_steinberg_element_values():
     e = steinberg_element(group(2, 2), 3)
     assert e.tolist() == [1, 2, 0]
@@ -218,6 +241,29 @@ def test_socle_dimensions_and_multiplicity():
         stacked = np.vstack([data.basis, sd.basis])
         assert rank(data.parent.field, stacked) == data.basis.shape[0]
         assert multiplicity_of(sd.module, st_factors(n, q, ell)) == 1
+
+
+def _fixed_rows_by_unipotent_elements(G, module, basis):
+    """U-fixed rows of an invariant subspace through every u's matrix."""
+    F = module.field
+    mats = [module.act(u) for u in G.unipotent_elements()]
+    fix = fixed_points(F, mats, module.dim)
+    return row_basis(F, F.mat_mul(fix, basis))
+
+
+@pytest.mark.parametrize("n, q, ell", MATRIX + [(3, 4, 5)])
+def test_cell_fixed_space_matches_the_unipotent_elements(n, q, ell):
+    G = group(n, q)
+    data = st_data(n, q, ell)
+    F = data.parent.field
+    cells = modrep._unipotent_fixed_rows(G, F, data.basis)
+    assert np.array_equal(
+        cells, _fixed_rows_by_unipotent_elements(G, data.module, data.basis))
+    assert cells.shape[0] == 1
+    whole = modrep._unipotent_fixed_rows(G, F, F.identity(G.index))
+    assert whole.shape[0] == G.weyl.order
+    assert np.array_equal(whole, _fixed_rows_by_unipotent_elements(
+        G, data.parent, F.identity(G.index)))
 
 
 def test_socle_refuses_steinberg_data_of_another_group():
@@ -398,13 +444,26 @@ def test_adjunction_hom_dimensions_agree():
     assert (left2, right2) == (2, 2)
 
 
+def test_levi_permutation_is_the_kronecker_product():
+    X = LeviPermutationModule(field(3), (2, 2), 2, "borel")
+    A, B = X.factors
+    samples = A.generators + [A.field.mat_mul(g, h) for g in A.generators
+                              for h in A.generators]
+    for a in samples:
+        for b in samples:
+            dense = np.kron(modrep._perm_matrix(A.coset_permutation(a)),
+                            modrep._perm_matrix(B.coset_permutation(b)))
+            assert np.array_equal(modrep._perm_matrix(X.perm_of([a, b])),
+                                  dense)
+
+
 def test_levi_module_guards():
     F = field(3)
     with pytest.raises(ModRepError):
         LeviPermutationModule(F, (2, 1), 2, "spam")
     X = levi_borel_module(group(3, 2), (2, 1), F)
     with pytest.raises(ModRepError):
-        X.action_of([np.eye(2, dtype=np.int64)])
+        X.perm_of([np.eye(2, dtype=np.int64)])
 
 
 # -- Gelfand-Graev modules ---------------------------------------------------
