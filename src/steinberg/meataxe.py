@@ -7,6 +7,14 @@ a seeded Norton-style irreducibility test with explicit witnesses,
 recursive composition factors with seed-independent fingerprints, sub-,
 quotient- and dual modules, homomorphism spaces and fixed points.
 
+The Norton test (Parker 1984; Holt & Rees 1994) tries only the actual
+irreducible factors of the characteristic polynomial of each sampled
+algebra element, lowest degree first, as `polynomials.irreducible_factors`
+yields them, and evaluates each with `polynomials.evaluate_matrix`; this
+module does no polynomial arithmetic of its own.  A factor of multiplicity
+one always certifies, so every sample with such a factor gets a verdict.
+Two factors with equal matrices are the same factor without a hom space.
+
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
 the current basis, so no elimination sees more rows than the module has
@@ -39,6 +47,7 @@ from .gf import (
     row_basis,
     rref,
 )
+from .polynomials import evaluate_matrix, irreducible_factors
 
 __all__ = [
     "MeatAxeError",
@@ -260,59 +269,26 @@ def algebra_element(M: GModule, rng) -> np.ndarray:
     return A
 
 
-def _poly_eval(F: FiniteField, coeffs, x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = F.add(F.mul(out, x), c)
-    return out
-
-
-def _monic_no_root_polys(F: FiniteField, degree: int):
-    """Monic polynomials of degree 2 or 3 without roots (hence irreducible)."""
-    from itertools import product
-
-    for tail in product(range(F.order), repeat=degree):
-        coeffs = list(tail) + [1]
-        if all(_poly_eval(F, coeffs, x) != 0 for x in range(F.order)):
-            yield coeffs
-
-
 def _factor_candidates(F: FiniteField, theta: np.ndarray):
-    """Yield (matrix f(theta), deg f, nullity) for irreducible f, cheap first."""
+    """Yield (f(theta), deg f, nullity) for the distinct irreducible factors
+    f of the characteristic polynomial of theta, lowest degree first."""
     n = theta.shape[0]
-    eye = F.identity(n)
-    cp = charpoly(F, theta)
-    for lam in range(F.order):
-        if _poly_eval(F, cp, lam) == 0:
-            fmat = F.mat_sub(theta, F.scale(lam, eye))
-            yield fmat, 1, n - rank(F, fmat)
-    theta2 = F.mat_mul(theta, theta)
-    for b, a, _ in _monic_no_root_polys(F, 2):
-        fmat = F.mat_add(theta2,
-                         F.mat_add(F.scale(a, theta), F.scale(b, eye)))
-        null = n - rank(F, fmat)
-        if null:
-            yield fmat, 2, null
-    if F.order <= 3:
-        theta3 = F.mat_mul(theta2, theta)
-        for c, b, a, _ in _monic_no_root_polys(F, 3):
-            fmat = F.mat_add(
-                theta3,
-                F.mat_add(F.scale(a, theta2),
-                          F.mat_add(F.scale(b, theta), F.scale(c, eye))))
-            null = n - rank(F, fmat)
-            if null:
-                yield fmat, 3, null
+    for f in irreducible_factors(F, charpoly(F, theta)):
+        fmat = evaluate_matrix(F, f, theta)
+        yield fmat, len(f) - 1, n - rank(F, fmat)
 
 
 def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     """Seeded Norton test.
 
     Returns (True, None) or (False, witness) where witness is the canonical
-    basis of a proper nonzero invariant subspace.  A verdict needs a sampled
-    algebra element with an irreducible characteristic factor whose kernel
-    dimension equals the factor degree; then one kernel vector is spun on
-    each side (plain and transposed), which decides either way.
+    basis of a proper nonzero invariant subspace.  Only the actual
+    irreducible factors f of the characteristic polynomial of a sampled
+    algebra element theta are tried, lowest degree first.  A kernel vector
+    of f(theta) that spins to a proper subspace is a witness; a factor
+    whose kernel dimension equals deg f (always so for a factor of
+    multiplicity one) certifies, once a kernel vector of the transpose
+    spins to the whole space as well.
     """
     if M.dim == 0:
         raise ZeroModuleError("the zero module has no irreducibility verdict")
@@ -330,8 +306,6 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     for _ in range(MAX_NORTON_TRIES):
         theta = algebra_element(M, rng)
         for fmat, deg, null in _factor_candidates(F, theta):
-            if null == 0:
-                continue
             v = kernel(F, fmat)[0]
             sub = _spin_rows(F, M.mats, M.dim, v)
             if sub.shape[0] < M.dim:
@@ -454,10 +428,17 @@ def composition_series(M: GModule, seed: int = DEFAULT_SEED):
 
 
 def same_factor(a: CompositionFactor, b: CompositionFactor) -> bool:
-    """Identity of simple factors: dimension, fingerprints, then a hom space."""
-    if a.dim != b.dim or a.charpolys != b.charpolys:
+    """Identity of simple factors: dimension, equal matrices (the identity
+    is then an isomorphism), fingerprints, then a hom space."""
+    if a.dim != b.dim:
         return False
-    return len(hom_space(a.module, b.module)) > 0
+    A, B = a.module, b.module
+    if (A.field == B.field and len(A.mats) == len(B.mats)
+            and all(np.array_equal(x, y) for x, y in zip(A.mats, B.mats))):
+        return True
+    if a.charpolys != b.charpolys:
+        return False
+    return len(hom_space(A, B)) > 0
 
 
 def factor_multiplicities(factors):

@@ -16,8 +16,9 @@ come for free.
 Every permutation module here (flag, partial flag, induced, Levi and
 regular) is built in one place, `_permutation_module`, from a map sending a
 group element to its permutation of the basis; its action is spot-checked
-there, on permutations.  The unipotent fixed space of the Steinberg module
-is read from the Bruhat cells, which are the U-orbits on the flags.
+there, on permutations.  The socle generator (the unipotent average of the
+alternating vector) and the unipotent fixed space of the Steinberg module
+are read from the Bruhat cells, which are the U-orbits on the flags.
 """
 
 from __future__ import annotations
@@ -212,10 +213,11 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
     `steinberg` is steinberg_module(G, ell, d) for this G; the socle is
     spun inside its flag module, over its coefficient field.  Verifies that
     the generated submodule is irreducible and that the unipotent fixed
-    space of the Steinberg module (read from the Bruhat cells, see
-    _unipotent_fixed_rows) is one-dimensional, so the socle is simple and
-    found in full.  Raises ModRepError when the unipotent average
-    vanishes or either check fails.
+    space of the Steinberg module is one-dimensional, so the socle is
+    simple and found in full; the generator and the fixed space are read
+    from the Bruhat cells (_unipotent_average, _unipotent_fixed_rows).
+    Raises ModRepError when the unipotent average vanishes or either check
+    fails.
     """
     M = steinberg.parent
     if M.dim != G.index:
@@ -223,10 +225,7 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
             f"the Steinberg data lives on {M.dim} flags, but {G!r} has "
             f"{G.index}")
     F = M.field
-    v = F.zeros(G.index)
-    for u in G.unipotent_elements():
-        perm = G.coset_permutation(u)   # u sends flag i to perm[i]
-        v[perm] = F.mat_add(v[perm], steinberg.vector)
+    v = _unipotent_average(G, F)
     if not v.any():
         raise ModRepError("the unipotent average of the alternating vector "
                           "vanished; no socle generator")
@@ -244,6 +243,21 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
             f"{fix_dim}, expected 1")
     return SocleData(steinberg=steinberg, vector=v, basis=basis, module=Y,
                      fix_dim=fix_dim)
+
+
+def _unipotent_average(G: GLGroup, F: FiniteField) -> np.ndarray:
+    """The sum of u.e over U for the alternating flag vector e, read from
+    the Bruhat cells.
+
+    U acts transitively on the cell of the Weyl flag n_w B with a stabilizer
+    of order q^(N - l(w)), N = n(n-1)/2, so the sum is (-1)^l(w) q^(N - l(w))
+    on each flag of cell w.
+    """
+    W = G.weyl
+    coeffs = np.array(
+        [F.from_int((-1) ** W.length(w) * (G.order_u // G.q ** W.length(w)))
+         for w in range(W.order)], dtype=np.int64)
+    return coeffs[G.cell_table[0]]
 
 
 def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:

@@ -3,7 +3,14 @@
 A polynomial is a Python list of element codes, constant term first, with no
 trailing zeros ([] is the zero polynomial).  Only what the irreducibility
 and factorization machinery needs lives here: arithmetic, gcd, modular
-powers, squarefree/distinct-degree/equal-degree factorization.
+powers, evaluation at a matrix, and one factoring path.
+
+That path is `irreducible_factors`, a lazy distinct-degree factorization
+whose same-degree products are split by Cantor-Zassenhaus.  It yields the
+distinct irreducible factors lowest degree first, so the MeatAxe's Norton
+test pays only for the degrees it tries; `factor` (multiplicities by
+repeated division) and `is_irreducible_poly` (the first factor is f
+itself) are built on it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "trim", "degree", "add", "sub", "scale", "mul", "divmod_poly", "mod",
-    "gcd", "monic", "powmod", "evaluate_matrix", "factor", "is_irreducible_poly",
+    "gcd", "monic", "powmod", "evaluate_matrix", "irreducible_factors",
+    "factor", "is_irreducible_poly",
 ]
 
 
@@ -116,71 +124,26 @@ def powmod(F: FiniteField, f, e: int, m):
     return r
 
 
-def derivative(F: FiniteField, f):
-    return trim([F.mul(F.from_int(i), f[i]) for i in range(1, len(f))])
-
-
 def evaluate_matrix(F: FiniteField, f, A: np.ndarray) -> np.ndarray:
-    """f(A) by Horner's rule."""
+    """f(A) by Horner's rule from lead * A: deg f - 1 matrix products."""
     n = A.shape[0]
-    R = F.zeros((n, n))
-    for c in reversed(f):
-        R = F.mat_mul(R, A)
-        if c:
-            R = F.mat_add(R, F.scale(c, F.identity(n)))
-    return R
+    eye = F.identity(n)
+    if len(f) < 2:
+        return F.scale(f[0] if f else 0, eye)
+    R = F.scale(f[-1], A)
+    for c in reversed(f[1:-1]):
+        R = F.mat_mul(F.mat_add(R, F.scale(c, eye)), A)
+    return F.mat_add(R, F.scale(f[0], eye))
 
 
-def _pth_root(F: FiniteField, a: int) -> int:
-    # Frobenius is an automorphism, so the p-th root is a^(q/p)
-    return F.pow(a, F.order // F.p)
-
-
-def squarefree_parts(F: FiniteField, f) -> list[tuple[list[int], int]]:
-    """Yield (squarefree factor, multiplicity) pairs, classic char-p version."""
-    f = monic(F, f)
-    out: list[tuple[list[int], int]] = []
-    e = 1
-    while degree(f) > 0:
-        df = derivative(F, f)
-        if not df:
-            # f is a polynomial in x^p: take a p-th root and retry
-            g = [_pth_root(F, f[i]) for i in range(0, len(f), F.p)]
-            f = trim(g)
-            e *= F.p
-            continue
-        c = gcd(F, f, df)
-        w = divmod_poly(F, f, c)[0]
-        m = 1
-        while degree(w) > 0:
-            y = gcd(F, w, c)
-            z = divmod_poly(F, w, y)[0]
-            if degree(z) > 0:
-                out.append((z, e * m))
-            c = divmod_poly(F, c, y)[0]
-            w = y
-            m += 1
-        f = c
-    return out
-
-
-def _distinct_degree(F: FiniteField, f) -> list[tuple[list[int], int]]:
-    """Split a squarefree monic f into products of same-degree irreducibles."""
-    out = []
-    h = [0, 1]  # x
-    d = 0
-    f = monic(F, f)
-    while degree(f) >= 2 * (d + 1):
-        d += 1
-        h = powmod(F, h, F.order, f)
-        g = gcd(F, sub(F, h, [0, 1]), f)
-        if degree(g) > 0:
-            out.append((g, d))
-            f = divmod_poly(F, f, g)[0]
-            h = mod(F, h, f)
-    if degree(f) > 0:
-        out.append((f, degree(f)))
-    return out
+def _divide_out(F: FiniteField, f, g) -> tuple[list[int], int]:
+    """(f / g^m, m) for the largest m with g^m dividing f."""
+    m = 0
+    while True:
+        quo, rem = divmod_poly(F, f, g)
+        if rem:
+            return f, m
+        f, m = quo, m + 1
 
 
 def _split_equal_degree(F: FiniteField, f, d: int, rng) -> list[list[int]]:
@@ -212,25 +175,45 @@ def _split_equal_degree(F: FiniteField, f, d: int, rng) -> list[list[int]]:
             return left + right
 
 
-def factor(F: FiniteField, f, rng=None) -> list[tuple[list[int], int]]:
-    """Monic irreducible factors with multiplicities, sorted deterministically."""
+def irreducible_factors(F: FiniteField, f, rng=None):
+    """Yield the distinct monic irreducible factors of f, lowest degree first.
+
+    Lazy distinct-degree factorization: for d = 1, 2, ... the product of the
+    degree-d factors is gcd(x^(q^d) - x, f), split by Cantor-Zassenhaus and
+    yielded in sorted order; every power of them is divided out of f before
+    d grows, so once deg f < 2(d + 1) what is left is irreducible.  A caller
+    that stops early pays only for the degrees it reached.
+    """
     if rng is None:
         rng = np.random.default_rng(0x5EED)
+    f = monic(F, f)
+    h = [0, 1]  # x^(q^d) mod f
+    d = 0
+    while degree(f) >= 2 * (d + 1):
+        d += 1
+        h = powmod(F, h, F.order, f)
+        g = gcd(F, sub(F, h, [0, 1]), f)
+        if degree(g) < 1:
+            continue
+        for irr in sorted(_split_equal_degree(F, g, d, rng)):
+            yield irr
+            f = _divide_out(F, f, irr)[0]
+        h = mod(F, h, f)
+    if degree(f) > 0:
+        yield f
+
+
+def factor(F: FiniteField, f, rng=None) -> list[tuple[list[int], int]]:
+    """Monic irreducible factors with multiplicities, sorted by degree, then
+    by coefficients."""
     f = trim(list(f))
-    if degree(f) < 1:
-        return []
-    found: dict[tuple[int, ...], int] = {}
-    for sf, e in squarefree_parts(F, f):
-        for block, d in _distinct_degree(F, sf):
-            for irr in _split_equal_degree(F, block, d, rng):
-                key = tuple(irr)
-                found[key] = found.get(key, 0) + e
-    return [(list(k), m) for k, m in sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+    out = []
+    for irr in irreducible_factors(F, f, rng):
+        f, m = _divide_out(F, f, irr)
+        out.append((irr, m))
+    return out
 
 
 def is_irreducible_poly(F: FiniteField, f) -> bool:
     f = monic(F, f)
-    if degree(f) < 1:
-        return False
-    fac = factor(F, f)
-    return len(fac) == 1 and fac[0][1] == 1
+    return degree(f) >= 1 and next(irreducible_factors(F, f)) == f

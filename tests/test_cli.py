@@ -181,6 +181,17 @@ def test_verify_gl42_ell7_socle_needs_no_kronecker_system(capsys):
                                   {"dim": 45, "mult": 1}]
 
 
+def test_verify_irreducible_case_beyond_the_hom_space_cap(capsys):
+    # socle and Steinberg factor are both 64-dimensional with equal
+    # matrices; a hom space between them would solve a 4096-row system
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "4", "--ell", "11")
+    assert code == 0
+    assert len(payload["checks"]) == 9
+    assert all(c["pass"] for c in payload["checks"])
+    assert payload["factors"] == [{"dim": 64, "mult": 1}]
+
+
 @pytest.mark.parametrize("command", ["verify", "hecke-check"])
 def test_oversized_group_is_refused_before_any_flag_work(
         capsys, monkeypatch, command):

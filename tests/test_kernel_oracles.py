@@ -5,29 +5,43 @@ input checks: `rref` updated whole rows per pivot, `charpoly` applied one
 row and one column operation per entry and ran its recurrence in scalar
 field arithmetic, `_spin_rows` re-multiplied and re-echelonized its whole
 basis every round, sub- and quotient actions reduced one vector at a time,
-`hom_space` solved one Kronecker system for all generators at once, and
-`fixed_points` intersected eigenspaces by Zassenhaus.  Every current kernel
+`hom_space` solved one Kronecker system for all generators at once,
+`fixed_points` intersected eigenspaces by Zassenhaus, `factor` ran
+square-free, then distinct-degree, then equal-degree factorization, and
+the Norton test tried every root, every root-free quadratic and, over
+fields of at most 3 elements, every root-free cubic.  Every current kernel
 returns a canonical object (an RREF basis, a characteristic polynomial, a
-matrix in a canonical basis), so the outputs must agree exactly.
+matrix in a canonical basis, a sorted factor list), so the outputs must
+agree exactly; the Norton test must give the old verdict wherever the old
+one reached a verdict.
 """
+
+from itertools import product
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from steinberg import polynomials as poly
+from steinberg.caps import MAX_NORTON_TRIES
 from steinberg.gf import (
     charpoly,
     field,
     intersect_rowspaces,
     inverse,
     kernel,
+    rank,
     reduce_mod_rowspace,
     rref,
 )
 from steinberg.meataxe import (
     GModule,
+    MeatAxeError,
+    _spin_rows,
+    algebra_element,
     fixed_points,
     hom_space,
+    is_irreducible,
     quotient_module,
     spin,
     submodule_module,
@@ -36,6 +50,7 @@ from steinberg.meataxe import (
 FIELDS = (field(2), field(3), field(2, 2), field(13))
 MAX_DIM = 12
 MAX_HOM_DIM = 6
+MAX_POLY_DEGREE = 12
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
                     database=None)
 
@@ -184,6 +199,126 @@ def fixed_points_oracle(F, mats, dim):
     return basis
 
 
+def squarefree_parts_oracle(F, f):
+    f = poly.monic(F, f)
+    out = []
+    e = 1
+    while poly.degree(f) > 0:
+        df = poly.trim([F.mul(F.from_int(i), f[i]) for i in range(1, len(f))])
+        if not df:
+            # f is a polynomial in x^p: take a p-th root and retry
+            f = poly.trim([F.pow(f[i], F.order // F.p)
+                           for i in range(0, len(f), F.p)])
+            e *= F.p
+            continue
+        c = poly.gcd(F, f, df)
+        w = poly.divmod_poly(F, f, c)[0]
+        m = 1
+        while poly.degree(w) > 0:
+            y = poly.gcd(F, w, c)
+            z = poly.divmod_poly(F, w, y)[0]
+            if poly.degree(z) > 0:
+                out.append((z, e * m))
+            c = poly.divmod_poly(F, c, y)[0]
+            w = y
+            m += 1
+        f = c
+    return out
+
+
+def distinct_degree_oracle(F, f):
+    out = []
+    h = [0, 1]
+    d = 0
+    f = poly.monic(F, f)
+    while poly.degree(f) >= 2 * (d + 1):
+        d += 1
+        h = poly.powmod(F, h, F.order, f)
+        g = poly.gcd(F, poly.sub(F, h, [0, 1]), f)
+        if poly.degree(g) > 0:
+            out.append((g, d))
+            f = poly.divmod_poly(F, f, g)[0]
+            h = poly.mod(F, h, f)
+    if poly.degree(f) > 0:
+        out.append((f, poly.degree(f)))
+    return out
+
+
+def factor_oracle(F, f):
+    rng = np.random.default_rng(0x5EED)
+    f = poly.trim(list(f))
+    if poly.degree(f) < 1:
+        return []
+    found = {}
+    for sf, e in squarefree_parts_oracle(F, f):
+        for block, d in distinct_degree_oracle(F, sf):
+            for irr in poly._split_equal_degree(F, block, d, rng):
+                found[tuple(irr)] = found.get(tuple(irr), 0) + e
+    return [(list(k), m) for k, m in
+            sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+
+
+def poly_eval_oracle(F, coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = F.add(F.mul(out, x), c)
+    return out
+
+
+def monic_no_root_polys_oracle(F, degree):
+    for tail in product(range(F.order), repeat=degree):
+        coeffs = list(tail) + [1]
+        if all(poly_eval_oracle(F, coeffs, x) != 0 for x in range(F.order)):
+            yield coeffs
+
+
+def factor_candidates_oracle(F, theta):
+    n = theta.shape[0]
+    eye = F.identity(n)
+    cp = charpoly(F, theta)
+    for lam in range(F.order):
+        if poly_eval_oracle(F, cp, lam) == 0:
+            fmat = F.mat_sub(theta, F.scale(lam, eye))
+            yield fmat, 1, n - rank(F, fmat)
+    theta2 = F.mat_mul(theta, theta)
+    for b, a, _ in monic_no_root_polys_oracle(F, 2):
+        fmat = F.mat_add(theta2,
+                         F.mat_add(F.scale(a, theta), F.scale(b, eye)))
+        null = n - rank(F, fmat)
+        if null:
+            yield fmat, 2, null
+    if F.order <= 3:
+        theta3 = F.mat_mul(theta2, theta)
+        for c, b, a, _ in monic_no_root_polys_oracle(F, 3):
+            fmat = F.mat_add(
+                theta3,
+                F.mat_add(F.scale(a, theta2),
+                          F.mat_add(F.scale(b, theta), F.scale(c, eye))))
+            null = n - rank(F, fmat)
+            if null:
+                yield fmat, 3, null
+
+
+def is_irreducible_oracle(M, seed):
+    """The old Norton verdict for dim >= 2, or None when it reached none."""
+    F = M.field
+    rng = np.random.default_rng(seed)
+    transposed = [A.T.copy() for A in M.mats]
+    for _ in range(MAX_NORTON_TRIES):
+        theta = algebra_element(M, rng)
+        for fmat, deg, null in factor_candidates_oracle(F, theta):
+            if null == 0:
+                continue
+            v = kernel(F, fmat)[0]
+            if _spin_rows(F, M.mats, M.dim, v).shape[0] < M.dim:
+                return False
+            if null != deg:
+                continue
+            w = kernel(F, fmat.T.copy())[0]
+            return _spin_rows(F, transposed, M.dim, w).shape[0] == M.dim
+    return None
+
+
 # -- strategies --------------------------------------------------------------
 
 
@@ -230,6 +365,31 @@ def modules_and_seeds(draw):
             A[split:, :split] = 0
     seeds = draw(codes(F, (draw(st.integers(1, 3)), dim)))
     return F, mats, dim, seeds
+
+
+@st.composite
+def polynomials_with_repeats(draw):
+    """A polynomial of degree at most 12, often with repeated factors.
+
+    Either arbitrary coefficients (the zero polynomial and constants
+    included) or a nonzero constant times a product of random monic
+    polynomials of degree 1-4, each raised to a power 1-3.
+    """
+    F = draw(st.sampled_from(FIELDS))
+    coeff = st.integers(0, F.order - 1)
+    if draw(st.booleans()):
+        return F, draw(st.lists(coeff, max_size=MAX_POLY_DEGREE + 1))
+    f = [draw(st.integers(1, F.order - 1))]
+    while True:
+        deg = draw(st.integers(1, 4))
+        power = draw(st.integers(1, 3))
+        if poly.degree(f) + deg * power > MAX_POLY_DEGREE:
+            return F, f
+        g = draw(st.lists(coeff, min_size=deg, max_size=deg)) + [1]
+        for _ in range(power):
+            f = poly.mul(F, f, g)
+        if draw(st.booleans()):
+            return F, f
 
 
 @st.composite
@@ -346,3 +506,36 @@ def test_fixed_points_match_zassenhaus_oracle(case):
     F, mats, dim = case
     assert np.array_equal(fixed_points(F, mats, dim),
                           fixed_points_oracle(F, mats, dim))
+
+
+@SETTINGS
+@given(polynomials_with_repeats())
+def test_factor_matches_oracle(case):
+    F, f = case
+    old = factor_oracle(F, f)
+    assert poly.factor(F, f) == old
+    # the oracle's list is sorted by degree, so this also checks the order
+    assert list(poly.irreducible_factors(F, f)) == [g for g, _ in old]
+    if poly.degree(poly.trim(f)) >= 1:
+        assert poly.is_irreducible_poly(F, f) == (
+            len(old) == 1 and old[0][1] == 1)
+
+
+@SETTINGS
+@given(modules_and_seeds(), st.integers(0, 2 ** 16))
+def test_norton_verdict_matches_enumerating_oracle(case, seed):
+    F, mats, dim, _ = case
+    M = GModule(F, mats, dim=dim, check=False)
+    if dim < 2:
+        return  # no Norton run: dimension 0 is refused, dimension 1 simple
+    old = is_irreducible_oracle(M, seed)
+    try:
+        verdict, witness = is_irreducible(M, seed)
+    except MeatAxeError:
+        assert old is None
+        return
+    if old is not None:
+        assert verdict == old
+    if not verdict:
+        assert 0 < rank(F, witness) < dim
+        assert spin(M, witness).shape[0] == rank(F, witness)

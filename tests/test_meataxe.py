@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from steinberg import gf, meataxe
-from steinberg.gf import field, rank
+from steinberg import polynomials as poly
+from steinberg.gf import charpoly, field, rank
 from steinberg.meataxe import (
     GModule,
     MeatAxeError,
@@ -33,6 +34,7 @@ from steinberg.meataxe import (
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F5 = field(5)
 
 # order-3 companion matrix of x^2 + x + 1, irreducible over GF(2)
 ROT = np.array([[0, 1], [1, 1]], dtype=np.int64)
@@ -68,6 +70,41 @@ def test_irreducible_when_eigenvalues_live_upstairs():
     factors = composition_factors(rotation_module(F4))
     assert sorted(f.dim for f in factors) == [1, 1]
     assert not same_factor(factors[0], factors[1])
+
+
+def cubic_companion_module():
+    # companion matrix of x^3 + x + 1, which has no root mod 5
+    C = F5.asarray([[0, 0, 4], [1, 0, 4], [0, 1, 0]])
+    return GModule(F5, [C], label="x^3 + x + 1 over GF(5)")
+
+
+def test_irreducible_through_a_cubic_factor():
+    # a sampled element is a polynomial in the companion matrix: its
+    # characteristic polynomial is an irreducible cubic or the cube of a
+    # linear factor, so only a cubic can certify
+    M = cubic_companion_module()
+    assert is_irreducible(M) == (True, None)
+    assert [f.dim for f in composition_factors(M)] == [3]
+
+
+def test_norton_evaluates_only_factors_of_the_characteristic_polynomial(
+        monkeypatch):
+    calls = []
+
+    def recorded(F, f, A):
+        calls.append((F, list(f), A.copy()))
+        return poly.evaluate_matrix(F, f, A)
+
+    monkeypatch.setattr(meataxe, "evaluate_matrix", recorded)
+    for M in (s3_permutation_module(F2), s3_permutation_module(F3),
+              s3_permutation_module(F4), rotation_module(F2),
+              rotation_module(F4), cubic_companion_module()):
+        composition_factors(M)
+    assert any(F is F4 for F, _, _ in calls)
+    assert {len(f) - 1 for _, f, _ in calls} >= {1, 2, 3}
+    for F, f, A in calls:
+        assert poly.is_irreducible_poly(F, f) and f[-1] == 1
+        assert poly.mod(F, charpoly(F, A), f) == []
 
 
 def test_endomorphisms_of_a_point_with_quadratic_splitting_field():

@@ -266,6 +266,25 @@ def test_cell_fixed_space_matches_the_unipotent_elements(n, q, ell):
         G, data.parent, F.identity(G.index)))
 
 
+def _unipotent_average_by_elements(G, F, e):
+    """Sum of u.e over every u in U, one coset permutation each."""
+    v = F.zeros(G.index)
+    for u in G.unipotent_elements():
+        perm = G.coset_permutation(u)   # u sends flag i to perm[i]
+        v[perm] = F.mat_add(v[perm], e)
+    return v
+
+
+@pytest.mark.parametrize("n, q, ell", MATRIX + [(3, 4, 5), (1, 2, 3)])
+def test_cell_socle_generator_matches_the_unipotent_elements(n, q, ell):
+    G = group(n, q)
+    data = st_data(n, q, ell)
+    F = data.parent.field
+    v = socle_of_steinberg(G, data).vector
+    assert v.any()
+    assert np.array_equal(v, _unipotent_average_by_elements(G, F, data.vector))
+
+
 def test_socle_refuses_steinberg_data_of_another_group():
     with pytest.raises(ModRepError, match="flags"):
         socle_of_steinberg(group(2, 3), st_data(2, 2, 5))
