@@ -31,8 +31,6 @@ __all__ = [
     "charpoly",
     "intersect_rowspaces",
     "reduce_mod_rowspace",
-    "format_matrix",
-    "parse_matrix",
 ]
 
 # full multiplication/inverse tables only below this order
@@ -541,30 +539,3 @@ def intersect_rowspaces(F: FiniteField, U, V) -> np.ndarray:
     if not out:
         return np.zeros((0, n), dtype=np.int64)
     return row_basis(F, np.array(out))
-
-
-# ---------------------------------------------------------------------------
-# plain-text matrix exchange format: "p k rows cols" header then row-major codes
-
-def format_matrix(F: FiniteField, A) -> str:
-    A = np.asarray(A, dtype=np.int64)
-    lines = [f"{F.p} {F.k} {A.shape[0]} {A.shape[1]}"]
-    for row in A:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> tuple[FiniteField, np.ndarray]:
-    toks = text.split()
-    if len(toks) < 4:
-        raise FieldError("matrix text too short")
-    p, k, rows, cols = (int(t) for t in toks[:4])
-    body = [int(t) for t in toks[4:]]
-    if len(body) != rows * cols:
-        raise FieldError(f"expected {rows * cols} entries, got {len(body)}")
-    F = field(p, k)
-    A = np.array(body, dtype=np.int64).reshape(rows, cols) if rows * cols else \
-        np.zeros((rows, cols), dtype=np.int64)
-    if A.size and (A.min() < 0 or A.max() >= F.order):
-        raise FieldError("entry out of range in matrix text")
-    return F, A

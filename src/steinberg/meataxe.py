@@ -60,7 +60,6 @@ __all__ = [
     "dual_module",
     "algebra_element",
     "is_irreducible",
-    "restricted_action",
     "CompositionFactor",
     "factor_of",
     "composition_factors",
@@ -95,12 +94,14 @@ class ModuleCapError(MeatAxeError):
 class GModule:
     """A matrix module: one invertible action matrix per generator.
 
-    `act`, when given, maps an arbitrary group element to its action
-    matrix; derived modules (sub, quotient, dual) transport it along.
+    `perm_of`, set on permutation modules only, maps an arbitrary group
+    element to its permutation of the basis (`g` sends basis vector i to
+    basis vector perm_of(g)[i]); derived modules (sub, quotient, dual) do
+    not carry it.
     """
 
     def __init__(self, field: FiniteField, mats, dim=None, label="",
-                 act=None, check=True):
+                 perm_of=None, check=True):
         self.field = field
         self.mats = [np.array(m, dtype=np.int64) for m in mats]
         if dim is None:
@@ -110,7 +111,7 @@ class GModule:
             dim = self.mats[0].shape[0]
         self.dim = int(dim)
         self.label = label
-        self.act = act
+        self.perm_of = perm_of
         for m in self.mats:
             if m.shape != (self.dim, self.dim):
                 raise MeatAxeError(
@@ -188,13 +189,6 @@ def _restrict(F: FiniteField, basis, pivots, A) -> np.ndarray:
     return coords.T
 
 
-def restricted_action(F: FiniteField, rows, A) -> np.ndarray:
-    """Matrix of A on the invariant subspace spanned by the given rows."""
-    basis, pivots = rref(F, np.asarray(rows, dtype=np.int64))
-    basis = basis[: len(pivots)]
-    return _restrict(F, basis, pivots, A)
-
-
 def submodule_module(M: GModule, basis, label="") -> GModule:
     """Module structure on an invariant subspace, in basis coordinates."""
     F = M.field
@@ -206,13 +200,9 @@ def submodule_module(M: GModule, basis, label="") -> GModule:
                        dim=0, label=label or f"sub(0) of {M.label}",
                        check=False)
     mats = [_restrict(F, basis, pivots, A) for A in M.mats]
-    act = None
-    if M.act is not None:
-        parent_act = M.act
-        act = lambda g: _restrict(F, basis, pivots, parent_act(g))
     return GModule(F, mats, dim=basis.shape[0],
                    label=label or f"sub({basis.shape[0]}) of {M.label}",
-                   act=act, check=False)
+                   check=False)
 
 
 def quotient_module(M: GModule, basis, label="") -> GModule:
@@ -230,25 +220,17 @@ def quotient_module(M: GModule, basis, label="") -> GModule:
         return residue[:, free].T
 
     mats = [project(A) for A in M.mats]
-    act = None
-    if M.act is not None:
-        parent_act = M.act
-        act = lambda g: project(parent_act(g))
     return GModule(F, mats, dim=qdim,
                    label=label or f"quo({qdim}) of {M.label}",
-                   act=act, check=False)
+                   check=False)
 
 
 def dual_module(M: GModule, label="") -> GModule:
     """Contragredient module: g acts by the inverse-transpose matrix."""
     F = M.field
     mats = [inverse(F, A).T.copy() for A in M.mats]
-    act = None
-    if M.act is not None:
-        parent_act = M.act
-        act = lambda g: inverse(F, parent_act(g)).T.copy()
     return GModule(F, mats, dim=M.dim, label=label or f"dual of {M.label}",
-                   act=act, check=False)
+                   check=False)
 
 
 # -- seeded algebra sampling -------------------------------------------------

@@ -9,16 +9,17 @@ module attached to a regular character of the unipotent group.
 
 The coefficient field GF(l^d) must have characteristic different from the
 defining characteristic of the group.  All modules are meataxe.GModule
-instances carrying an `act` callable for arbitrary group elements, so
-fixed points under any subgroup and transported actions on submodules
-come for free.
-
-Every permutation module here (flag, partial flag, induced, Levi and
-regular) is built in one place, `_permutation_module`, from a map sending a
-group element to its permutation of the basis; its action is spot-checked
-there, on permutations.  The socle generator (the unipotent average of the
-alternating vector) and the unipotent fixed space of the Steinberg module
-are read from the Bruhat cells, which are the U-orbits on the flags.
+instances.  Every permutation module here (flag, partial flag, induced,
+Levi, restricted and regular) is built in one place, `_permutation_module`,
+from a map sending a group element to its permutation of the basis; its
+action is spot-checked there, on permutations, and the map stays on the
+module as `perm_of`, the only way an arbitrary group element acts.
+Harish-Chandra restriction reads the radical orbits off those
+permutations, and induction reads the Levi module's `perm_of` on the
+parabolic factor of each coset.  The socle generator (the unipotent
+average of the alternating vector) and the unipotent fixed space of the
+Steinberg module are read from the Bruhat cells, which are the U-orbits
+on the flags.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .meataxe import (
     GModule,
     ModuleCapError,
     composition_factors,
-    fixed_points,
     head_of,
     hom_space,
     is_irreducible,
     multiplicity_of,
-    restricted_action,
     spin,
     submodule_module,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "socle_of_steinberg",
     "parabolic_perm_module",
     "levi_generators",
-    "LeviPermutationModule",
     "levi_trivial_module",
     "levi_borel_module",
     "hc_restrict",
@@ -99,7 +97,7 @@ def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
     """Permutation module over F of the group generated by `gens`.
 
     `perm_of(g)` is the permutation i -> g.i of the `dim` basis vectors for
-    a group element g (matrices over Fq); `act` is its permutation matrix.
+    a group element g (matrices over Fq); the module keeps it as `perm_of`.
     Multiplicativity is spot-checked on three generator products, on the
     permutations themselves.
     """
@@ -112,7 +110,7 @@ def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
             raise ModRepError(
                 "action map is not multiplicative on generator products")
     return GModule(F, [_perm_matrix(p) for p in perms], dim=dim, label=label,
-                   act=lambda g: _perm_matrix(perm_of(g)), check=False)
+                   perm_of=perm_of, check=False)
 
 
 def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
@@ -310,111 +308,91 @@ def hc_restrict(G: GLGroup, composition, M: GModule) -> GModule:
     """Harish-Chandra restriction: unipotent-radical fixed points as a
     module for the Levi subgroup of the standard parabolic.
 
-    The input must carry an `act` callable; the output matrices follow the
-    generator order of levi_generators and the output `act` accepts any
-    Levi element.
+    M must be a permutation module.  Its radical-fixed space is spanned by
+    the sums over the radical orbits; ordered by least element, they are
+    the canonical basis of that space.  Orbits are found by propagating
+    least labels through the permutations of the radical root elements.
+    The parabolic permutes the orbits, so the result is again a permutation
+    module, with matrices in levi_generators order and a `perm_of` defined
+    on every element of the parabolic.
     """
-    if M.act is None:
-        raise ModRepError(
-            "restriction needs a module with an action map for arbitrary "
-            "group elements")
+    if M.perm_of is None:
+        raise ModRepError("restriction needs a permutation module")
     P = G.parabolic(composition)
-    F = M.field
-    radical_mats = []
+    radical = []
     for a, b in P.radical_positions():
         for c in range(1, G.q):
             x = G.field.identity(G.n)
             x[a, b] = c
-            radical_mats.append(M.act(x))
-    rows = fixed_points(F, radical_mats, M.dim)
-    lgens = levi_generators(G, composition)
-    label = (f"restriction of {M.label or 'a module'} to the Levi of type "
-             f"{P.composition}")
-    if rows.shape[0] == 0:
-        return GModule(F, [np.zeros((0, 0), dtype=np.int64) for _ in lgens],
-                       dim=0, label=label, check=False)
+            radical.append(M.perm_of(x))
+    least, before = np.arange(M.dim), None
+    while not np.array_equal(least, before):
+        before = least
+        for perm in radical:
+            least = np.minimum(least, least[perm])
+        least = least[least]
+    reps = np.flatnonzero(least == np.arange(M.dim))
+    orbit = np.searchsorted(reps, least)
+    return _permutation_module(
+        G.field, levi_generators(G, composition), M.field,
+        lambda p: orbit[M.perm_of(p)[reps]], reps.size,
+        f"restriction of {M.label or 'a module'} to the Levi of type "
+        f"{P.composition}")
 
-    def act(l):
-        return restricted_action(F, rows, M.act(l))
 
-    mats = [act(l) for l in lgens]
-    return GModule(F, mats, dim=rows.shape[0], label=label, act=act,
-                   check=False)
+def _levi_module(G: GLGroup, P, F: FiniteField, factors,
+                 name: str) -> GModule:
+    """Tensor product of the flag modules of `factors`, one general linear
+    group per diagonal block of P, as a permutation module of the Levi
+    subgroup.
 
-
-class LeviPermutationModule:
-    """A blockwise permutation module of a Levi subgroup.
-
-    `perm_of(blocks)` maps the list of diagonal blocks of a Levi element
-    to its permutation of the basis.  Kind "trivial" is the one-dimensional
-    module with every block acting as 1; kind "borel" is the tensor product
-    of the complete flag modules of the diagonal factors, with the leftmost
-    block varying slowest in the Kronecker ordering of the basis.
+    `perm_of` reads the diagonal blocks of any element of P; the leftmost
+    block varies slowest in the Kronecker ordering of the basis.  With no
+    factors it is the trivial module.
     """
-
-    def __init__(self, coeff_field: FiniteField, composition, q: int,
-                 kind: str, label: str = ""):
-        self.field = coeff_field
-        self.composition = tuple(int(c) for c in composition)
-        self.q = int(q)
-        self.kind = kind
-        if kind == "trivial":
-            self.factors = None
-            self.dim = 1
-        elif kind == "borel":
-            self.factors = [build_gl(m, q) for m in self.composition]
-            self.dim = 1
-            for factor in self.factors:
-                self.dim *= factor.index
-        else:
-            raise ModRepError(f"unknown Levi module kind {kind!r}")
-        self.label = label or f"{kind} Levi module of type {self.composition}"
-
-    def __repr__(self):
-        return (f"LeviPermutationModule({self.kind!r}, {self.composition}, "
-                f"q={self.q}, dim={self.dim})")
-
-    def perm_of(self, blocks) -> np.ndarray:
-        if len(blocks) != len(self.composition):
-            raise ModRepError(
-                f"expected {len(self.composition)} diagonal blocks, "
-                f"got {len(blocks)}")
+    def perm_of(p):
         out = np.zeros(1, dtype=np.int64)
-        if self.kind == "trivial":
-            return out
-        for factor, block in zip(self.factors, blocks):
+        for factor, block in zip(factors, P.levi_blocks(p)):
             b = factor.coset_permutation(block)
             # Kronecker product of permutations, as a mixed-radix index
             out = (out[:, None] * len(b) + b).ravel()
         return out
 
-    def to_gmodule(self, G: GLGroup) -> GModule:
-        """The same module with matrices in levi_generators order."""
-        P = G.parabolic(self.composition)
-        return _permutation_module(
-            G.field, levi_generators(G, self.composition), self.field,
-            lambda l: self.perm_of(P.levi_blocks(l)), self.dim, self.label)
+    dim = 1
+    for factor in factors:
+        dim *= factor.index
+    return _permutation_module(
+        G.field, levi_generators(G, P.composition), F, perm_of, dim,
+        f"{name} Levi module of type {P.composition}")
 
 
 def levi_trivial_module(G: GLGroup, composition,
-                        F: FiniteField) -> LeviPermutationModule:
-    return LeviPermutationModule(F, composition, G.q, "trivial")
+                        F: FiniteField) -> GModule:
+    """The trivial module of the Levi subgroup, as a permutation module."""
+    return _levi_module(G, G.parabolic(composition), F, [], "trivial")
 
 
 def levi_borel_module(G: GLGroup, composition,
-                      F: FiniteField) -> LeviPermutationModule:
-    return LeviPermutationModule(F, composition, G.q, "borel")
+                      F: FiniteField) -> GModule:
+    """The complete flag module of the Levi subgroup: the tensor product of
+    the flag modules of its diagonal factors."""
+    P = G.parabolic(composition)
+    return _levi_module(G, P, F, [build_gl(m, G.q) for m in P.composition],
+                        "borel")
 
 
-def hc_induce(G: GLGroup, composition, X: LeviPermutationModule) -> GModule:
-    """Harish-Chandra induction: inflate a Levi module through the standard
-    parabolic, then induce along its coset space.
+def hc_induce(G: GLGroup, composition, X: GModule) -> GModule:
+    """Harish-Chandra induction: inflate a Levi permutation module through
+    the standard parabolic, then induce along its coset space.
 
-    The basis is indexed by (coset, module basis vector) pairs with the
-    module index varying fastest; an element g sends the block of coset j
-    to the block of coset i where g * rep_j = rep_i * p, acting inside the
-    block through the Levi part of p.
+    X must carry a `perm_of` defined on the parabolic (a Levi module or a
+    restriction).  The basis is indexed by (coset, module basis vector)
+    pairs with the module index varying fastest; an element g sends the
+    block of coset j to the block of coset i where g * rep_j = rep_i * p,
+    acting inside the block through p.
     """
+    if X.perm_of is None:
+        raise ModRepError("induction needs a Levi permutation module")
     P = G.parabolic(composition)
     reps = P.cosets.reps
     width = X.dim
@@ -429,15 +407,14 @@ def hc_induce(G: GLGroup, composition, X: LeviPermutationModule) -> GModule:
         out = np.empty(total, dtype=np.int64)
         for j, rep in enumerate(reps):
             i, p = P.decompose(Fq.mat_mul(g, rep))
-            out[j * width:(j + 1) * width] = (
-                i * width + X.perm_of(P.levi_blocks(p)))
+            out[j * width:(j + 1) * width] = i * width + X.perm_of(p)
         return out
 
     return _permutation_module(Fq, G.generators, X.field, perm_of, total,
                                f"induction of {X.label} to {G!r}")
 
 
-def hc_adjoint_hom_dims(G: GLGroup, composition, X: LeviPermutationModule,
+def hc_adjoint_hom_dims(G: GLGroup, composition, X: GModule,
                         M: GModule) -> tuple:
     """Both sides of the induction/restriction adjunction, as hom dimensions.
 
@@ -446,8 +423,7 @@ def hc_adjoint_hom_dims(G: GLGroup, composition, X: LeviPermutationModule,
     """
     ind = hc_induce(G, composition, X)
     res = hc_restrict(G, composition, M)
-    XL = X.to_gmodule(G)
-    return len(hom_space(ind, M)), len(hom_space(XL, res))
+    return len(hom_space(ind, M)), len(hom_space(X, res))
 
 
 def group_elements(G: GLGroup) -> tuple:

@@ -1,4 +1,8 @@
-"""Smoke test: every demo script runs to completion."""
+"""Every demo script runs to completion and prints its recorded output.
+
+The expected stdout of each demo is stored in `tests/demo_output/<stem>.txt`;
+the demos are deterministic, so any change to it is a change in results.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_all_demos_found():
@@ -23,3 +28,5 @@ def test_demo_runs(script):
     done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    expected = (EXPECTED / f"{script.stem}.txt").read_text()
+    assert done.stdout == expected

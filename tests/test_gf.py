@@ -14,11 +14,9 @@ from steinberg.gf import (
     charpoly,
     field,
     field_of_order,
-    format_matrix,
     intersect_rowspaces,
     inverse,
     kernel,
-    parse_matrix,
     rank,
     row_basis,
     rref,
@@ -247,28 +245,6 @@ def test_intersect_dimension_formula():
         together = rank(F, np.concatenate([U, V]))
         meet = intersect_rowspaces(F, U, V).shape[0]
         assert meet == rank(F, U) + rank(F, V) - together
-
-
-def test_matrix_text_roundtrip():
-    rng = np.random.default_rng(5)
-    for F in (field(2), field(3, 2), field(2, 4)):
-        A = F.random_matrix(rng, (3, 5))
-        G, B = parse_matrix(format_matrix(F, A))
-        assert G is field(F.p, F.k)
-        assert B.tolist() == A.tolist()
-
-
-def test_matrix_text_golden():
-    F = field(3, 2)
-    A = F.asarray([[0, 1, 3], [8, 2, 4]])
-    assert format_matrix(F, A) == "3 2 2 3\n0 1 3\n8 2 4\n"
-
-
-def test_matrix_text_errors():
-    with pytest.raises(FieldError):
-        parse_matrix("3 1 2 2\n1 2 0")       # wrong count
-    with pytest.raises(FieldError):
-        parse_matrix("3 1 1 2\n1 5")          # entry out of range
 
 
 def test_field_of_order():

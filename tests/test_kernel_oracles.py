@@ -7,22 +7,26 @@ field arithmetic, `_spin_rows` re-multiplied and re-echelonized its whole
 basis every round, sub- and quotient actions reduced one vector at a time,
 `hom_space` solved one Kronecker system for all generators at once,
 `fixed_points` intersected eigenspaces by Zassenhaus, `factor` ran
-square-free, then distinct-degree, then equal-degree factorization, and
+square-free, then distinct-degree, then equal-degree factorization,
 the Norton test tried every root, every root-free quadratic and, over
-fields of at most 3 elements, every root-free cubic.  Every current kernel
-returns a canonical object (an RREF basis, a characteristic polynomial, a
-matrix in a canonical basis, a sorted factor list), so the outputs must
-agree exactly; the Norton test must give the old verdict wherever the old
-one reached a verdict.
+fields of at most 3 elements, every root-free cubic, and Harish-Chandra
+restriction took the fixed points of the dense radical matrices and
+restricted each Levi generator's permutation matrix to them.  Every
+current kernel returns a canonical object (an RREF basis, a characteristic
+polynomial, a matrix in a canonical basis, a sorted factor list), so the
+outputs must agree exactly; the Norton test must give the old verdict
+wherever the old one reached a verdict.
 """
 
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinberg import polynomials as poly
+from steinberg.bngroup import build_gl
 from steinberg.caps import MAX_NORTON_TRIES
 from steinberg.gf import (
     charpoly,
@@ -37,6 +41,7 @@ from steinberg.gf import (
 from steinberg.meataxe import (
     GModule,
     MeatAxeError,
+    _restrict,
     _spin_rows,
     algebra_element,
     fixed_points,
@@ -45,6 +50,15 @@ from steinberg.meataxe import (
     quotient_module,
     spin,
     submodule_module,
+)
+from steinberg.modrep import (
+    _perm_matrix,
+    borel_module,
+    hc_induce,
+    hc_restrict,
+    levi_borel_module,
+    levi_generators,
+    parabolic_perm_module,
 )
 
 FIELDS = (field(2), field(3), field(2, 2), field(13))
@@ -197,6 +211,20 @@ def fixed_points_oracle(F, mats, dim):
         if basis.shape[0] == 0:
             break
     return basis
+
+
+def hc_restrict_oracle(G, composition, M):
+    F = M.field
+    radical = []
+    for a, b in G.parabolic(composition).radical_positions():
+        for c in range(1, G.q):
+            x = G.field.identity(G.n)
+            x[a, b] = c
+            radical.append(_perm_matrix(M.perm_of(x)))
+    basis, pivots = rref(F, fixed_points(F, radical, M.dim))
+    basis = basis[:len(pivots)]
+    return [_restrict(F, basis, pivots, _perm_matrix(M.perm_of(l)))
+            for l in levi_generators(G, composition)]
 
 
 def squarefree_parts_oracle(F, f):
@@ -539,3 +567,39 @@ def test_norton_verdict_matches_enumerating_oracle(case, seed):
     if not verdict:
         assert 0 < rank(F, witness) < dim
         assert spin(M, witness).shape[0] == rank(F, witness)
+
+
+def compositions(n):
+    for cuts in product((False, True), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield tuple(parts)
+
+
+def _restriction_module(case):
+    if case == "partial-flags":
+        G = build_gl(3, 2)
+        return G, parabolic_perm_module(G, (2, 1), 7)
+    if case == "induced":
+        G = build_gl(3, 2)
+        return G, hc_induce(G, (2, 1), levi_borel_module(G, (2, 1), field(3)))
+    n, q, ell = case
+    G = build_gl(n, q)
+    return G, borel_module(G, ell)
+
+
+@pytest.mark.parametrize("case", [(2, 3, 2), (3, 2, 7), (3, 3, 2), (4, 2, 3),
+                                  (3, 4, 5), "partial-flags", "induced"],
+                         ids=str)
+def test_restriction_matches_dense_fixed_points_oracle(case):
+    G, M = _restriction_module(case)
+    for comp in compositions(G.n):
+        res = hc_restrict(G, comp, M)
+        old = hc_restrict_oracle(G, comp, M)
+        assert len(res.mats) == len(old), comp
+        for A, B in zip(res.mats, old):
+            assert np.array_equal(A, B), comp

@@ -15,6 +15,7 @@ from steinberg.combinat import (
 from steinberg.gf import field, rank, rref, reduce_mod_rowspace, row_basis
 from steinberg.hecke import sign_eigenspace
 from steinberg.meataxe import (
+    GModule,
     ModuleCapError,
     composition_factors,
     composition_series,
@@ -24,9 +25,9 @@ from steinberg.meataxe import (
     is_isomorphic,
     multiplicity_of,
     spin,
+    submodule_module,
 )
 from steinberg.modrep import (
-    LeviPermutationModule,
     ModRepError,
     borel_module,
     gelfand_graev,
@@ -117,7 +118,7 @@ def test_borel_module_shape_and_action():
     g = G.generators[0]
     h = G.generators[-1]
     gh = G.field.mat_mul(g, h)
-    assert np.array_equal(N.act(gh), N.field.mat_mul(N.act(g), N.act(h)))
+    assert np.array_equal(N.perm_of(gh), N.perm_of(g)[N.perm_of(h)])
 
 
 def test_coefficient_field_guards():
@@ -138,7 +139,7 @@ def test_flag_module_of_a_group_without_generators():
     assert G.generators == []
     M = borel_module(G, 3)
     assert M.dim == 1 and M.mats == []
-    assert np.array_equal(M.act(G.identity_element()), [[1]])
+    assert M.perm_of(G.identity_element()).tolist() == [0]
 
 
 def test_borel_module_refuses_a_non_multiplicative_action(monkeypatch):
@@ -243,11 +244,20 @@ def test_socle_dimensions_and_multiplicity():
         assert multiplicity_of(sd.module, st_factors(n, q, ell)) == 1
 
 
-def _fixed_rows_by_unipotent_elements(G, module, basis):
+def _restricted_matrices(parent, basis, elements):
+    """Matrices of group elements on the invariant span of the RREF `basis`,
+    read off the permutations of the permutation module `parent`."""
+    perms = GModule(parent.field,
+                    [modrep._perm_matrix(parent.perm_of(g)) for g in elements],
+                    dim=parent.dim, check=False)
+    return submodule_module(perms, basis).mats
+
+
+def _fixed_rows_by_unipotent_elements(G, parent, basis):
     """U-fixed rows of an invariant subspace through every u's matrix."""
-    F = module.field
-    mats = [module.act(u) for u in G.unipotent_elements()]
-    fix = fixed_points(F, mats, module.dim)
+    F = parent.field
+    mats = _restricted_matrices(parent, basis, G.unipotent_elements())
+    fix = fixed_points(F, mats, basis.shape[0])
     return row_basis(F, F.mat_mul(fix, basis))
 
 
@@ -258,7 +268,7 @@ def test_cell_fixed_space_matches_the_unipotent_elements(n, q, ell):
     F = data.parent.field
     cells = modrep._unipotent_fixed_rows(G, F, data.basis)
     assert np.array_equal(
-        cells, _fixed_rows_by_unipotent_elements(G, data.module, data.basis))
+        cells, _fixed_rows_by_unipotent_elements(G, data.parent, data.basis))
     assert cells.shape[0] == 1
     whole = modrep._unipotent_fixed_rows(G, F, F.identity(G.index))
     assert whole.shape[0] == G.weyl.order
@@ -329,7 +339,7 @@ def test_borel_fixed_line_is_the_unipotent_average():
                 diag = [1] * n
                 diag[t] = theta
                 borel_gens.append(G.torus_element(diag))
-        mats = [data.module.act(b) for b in borel_gens]
+        mats = _restricted_matrices(data.parent, data.basis, borel_gens)
         fix = fixed_points(F, mats, data.module.dim)
         assert fix.shape[0] == 1
         basis, pivots = rref(F, data.basis)
@@ -429,6 +439,14 @@ def test_restriction_needs_an_action_map():
         hc_restrict(G, (1, 1), bare)
 
 
+def test_induction_needs_a_permutation_module():
+    G = group(2, 3)
+    X = levi_trivial_module(G, (1, 1), field(2))
+    bare = GModule(X.field, X.mats, dim=X.dim, check=False)
+    with pytest.raises(ModRepError):
+        hc_induce(G, (1, 1), bare)
+
+
 def test_induction_of_trivial_gives_the_partial_flag_module():
     G = group(2, 3)
     F = field(2)
@@ -463,26 +481,31 @@ def test_adjunction_hom_dimensions_agree():
     assert (left2, right2) == (2, 2)
 
 
+@pytest.mark.parametrize("q, ell", [(2, 3), (3, 2), (4, 3), (5, 2)])
+def test_restriction_feeds_induction(q, ell):
+    # restricted to the torus, the flag module is two trivial lines (the
+    # sums over the two Bruhat cells), so both sides are 2 * dim End_G(M) = 4
+    G = group(2, q)
+    M = borel_module(G, ell)
+    res = hc_restrict(G, (1, 1), M)
+    assert hc_adjoint_hom_dims(G, (1, 1), res, M) == (4, 4)
+
+
 def test_levi_permutation_is_the_kronecker_product():
-    X = LeviPermutationModule(field(3), (2, 2), 2, "borel")
-    A, B = X.factors
+    G = group(4, 2)
+    X = levi_borel_module(G, (2, 2), field(3))
+    A = B = build_gl(2, 2)
     samples = A.generators + [A.field.mat_mul(g, h) for g in A.generators
                               for h in A.generators]
     for a in samples:
         for b in samples:
             dense = np.kron(modrep._perm_matrix(A.coset_permutation(a)),
                             modrep._perm_matrix(B.coset_permutation(b)))
-            assert np.array_equal(modrep._perm_matrix(X.perm_of([a, b])),
+            block = G.field.identity(4)
+            block[:2, :2] = a
+            block[2:, 2:] = b
+            assert np.array_equal(modrep._perm_matrix(X.perm_of(block)),
                                   dense)
-
-
-def test_levi_module_guards():
-    F = field(3)
-    with pytest.raises(ModRepError):
-        LeviPermutationModule(F, (2, 1), 2, "spam")
-    X = levi_borel_module(group(3, 2), (2, 1), F)
-    with pytest.raises(ModRepError):
-        X.perm_of([np.eye(2, dtype=np.int64)])
 
 
 # -- Gelfand-Graev modules ---------------------------------------------------
