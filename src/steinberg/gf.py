@@ -450,10 +450,10 @@ def kernel(F: FiniteField, A) -> np.ndarray:
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     K = np.zeros((len(free), cols), dtype=np.int64)
-    for i, c in enumerate(free):
-        K[i, c] = 1
-        for j, pc in enumerate(piv):
-            K[i, pc] = F.neg(int(R[j, c]))
+    K[np.arange(len(free)), free] = 1
+    if piv:
+        # free column c sets each pivot variable to -R[j, c]
+        K[:, piv] = F.mat_neg(R[: len(piv), free].T)
     return row_basis(F, K)
 
 

@@ -16,15 +16,21 @@ the operator of T_w sends a coset x to the sum of the cosets y for which
 x^{-1}y lies in the double coset of n_w, read from the group's cell table.
 Because the algebra is the opposite of the equivariant endomorphism ring,
 the operator of a product T_x T_y is (matrix of T_y) @ (matrix of T_x); the
-relation checks below pin that convention.  The all-important alternating
-sum over the Weyl group (the Steinberg element) is an integer eigenvector
-of every realized operator with eigenvalue (-1)^l(w), here checked over the
-integers so the statement descends to every coefficient field, and also
-modulo a prime; the check reads T_w e from the cell table rows on the
-support of e, without operator matrices.
+relation checks below pin that convention.  A simple operator T_s sends
+each flag to the sum of the q flags s-adjacent to it, so it is applied to a
+block of vectors as a sum of q index gathers through the cell table, and
+neither the eigenspace nor the relation checks multiply operator
+matrices.  The all-important alternating sum over the Weyl group (the
+Steinberg element) is an integer eigenvector of every realized operator
+with eigenvalue (-1)^l(w), here checked over the integers so the statement
+descends to every coefficient field, and also modulo a prime; the check
+reads T_w e from the cell table rows on the support of e, without operator
+matrices.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -424,14 +430,32 @@ def is_sign_eigenvector(G: GLGroup, v, modulus=None) -> bool:
     return True
 
 
+def _adjacent_flags(G: GLGroup, s: int) -> np.ndarray:
+    """(flags, q) array: row i lists the flags j with cell_table[j, i] equal
+    to the simple reflection s, the q flags s-adjacent to flag i."""
+    hits = G.cell_table == G.weyl.gen_index(s)
+    return np.nonzero(hits.T)[1].reshape(G.index, G.q)
+
+
+def _apply_simple(F: FiniteField, adjacent, rows, sign=1) -> np.ndarray:
+    """rows @ (sign T_s).T over the prime field F: flag i gets the sum of
+    the rows' entries on the flags adjacent to i, one gather at a time."""
+    out = rows[:, adjacent[:, 0]]
+    for k in range(1, adjacent.shape[1]):
+        out += rows[:, adjacent[:, k]]
+    return (sign * out) % F.p
+
+
 def sign_eigenspace(G: GLGroup, ell: int) -> np.ndarray:
     """Basis rows of the common (-1)-eigenspace of all simple operators.
 
-    Computed over GF(ell) as the common fixed space of the operators -T_s;
-    equals the Steinberg submodule of the flag permutation module.
+    Computed over GF(ell) as the common fixed space of the operators -T_s,
+    each applied by gathers through the cell table; equals the Steinberg
+    submodule of the flag permutation module.
     """
     F = _check_ell(G, ell)
-    negated = [F.mat_neg(act_on_borel_module(G, ell, G.weyl.gen_index(s)))
+    negated = [functools.partial(_apply_simple, F, _adjacent_flags(G, s),
+                                 sign=-1)
                for s in range(G.weyl.rank)]
     return fixed_points(F, negated, G.index)
 
@@ -443,25 +467,26 @@ def hecke_check(G: GLGroup, ell: int) -> dict:
             f"flag count {G.index} exceeds cap {MAX_DENSE_DIM}")
     F = _check_ell(G, ell)
     W = G.weyl
-    mats = [act_on_borel_module(G, ell, w) for w in range(W.order)]
+    adjacent = [_adjacent_flags(G, s) for s in range(W.rank)]
+    eye = F.identity(G.index)
     q_mod = F.from_int(G.q)
 
+    # Products are kept transposed: rows @ T_s.T is the gather-sum, and
+    # (T_s @ X).T = X.T @ T_s.T.
     relations_ok = True
     for s in range(W.rank):
-        m = mats[W.gen_index(s)]
-        lhs = F.mat_mul(m, m)
-        rhs = F.mat_add(
-            F.scale(q_mod, F.identity(G.index)),
-            F.scale(F.sub(q_mod, F.one), m))
+        m = act_on_borel_module(G, ell, W.gen_index(s))
+        lhs = _apply_simple(F, adjacent[s], m.T).T
+        rhs = F.mat_add(F.scale(q_mod, eye), F.scale(F.sub(q_mod, F.one), m))
         if not np.array_equal(lhs, rhs):
             relations_ok = False
     # opposite-composition law: along a reduced word s_1 ... s_k the matrix
     # of T_w is the product of the generator matrices in reversed order
     for w in range(W.order):
-        prod = F.identity(G.index)
+        prod_t = eye
         for s in W.reduced_word(w):
-            prod = F.mat_mul(mats[W.gen_index(s)], prod)
-        if not np.array_equal(prod, mats[w]):
+            prod_t = _apply_simple(F, adjacent[s], prod_t)
+        if not np.array_equal(prod_t.T, act_on_borel_module(G, ell, w)):
             relations_ok = False
 
     lemma_ok = is_sign_eigenvector(G, alternating_sum_vector(G))

@@ -18,9 +18,14 @@ Two factors with equal matrices are the same factor without a hom space.
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
 the current basis, so no elimination sees more rows than the module has
-dimensions.  Hom spaces and fixed points cut their solution space down one
-generator at a time (Holt & Rees 1994), so no system is wider than the
-space of candidate maps or taller than the module.  Fingerprints are
+dimensions.  A permutation module keeps its generator permutations and
+builds no matrix for them unless a caller reads `mats`: spinning,
+restriction to a submodule and fixed points apply a permutation as a
+column gather, and `fixed_points` also takes any row map, such as the
+gather-sum of a Hecke operator.  Hom spaces and fixed points cut their
+solution space down one generator at a time (Holt & Rees 1994), so no
+system is wider than the space of candidate maps or taller than the
+module.  Fingerprints are
 computed on demand: factors of different dimensions are told apart without
 any characteristic polynomial.
 
@@ -94,39 +99,86 @@ class ModuleCapError(MeatAxeError):
 class GModule:
     """A matrix module: one invertible action matrix per generator.
 
-    `perm_of`, set on permutation modules only, maps an arbitrary group
-    element to its permutation of the basis (`g` sends basis vector i to
-    basis vector perm_of(g)[i]); derived modules (sub, quotient, dual) do
-    not carry it.
+    A permutation module is given by `perms` in place of `mats`: generator
+    i sends basis vector j to basis vector perms[i][j].  It builds the
+    permutation matrices only when `mats` is first read; the MeatAxe
+    applies the permutations as gathers.  `perm_of`, set on permutation
+    modules only, maps an arbitrary group element to its permutation of
+    the basis; derived modules (sub, quotient, dual) carry neither.
     """
 
-    def __init__(self, field: FiniteField, mats, dim=None, label="",
-                 perm_of=None, check=True):
+    def __init__(self, field: FiniteField, mats=None, dim=None, label="",
+                 perm_of=None, check=True, perms=None):
         self.field = field
-        self.mats = [np.array(m, dtype=np.int64) for m in mats]
-        if dim is None:
-            if not self.mats:
-                raise MeatAxeError(
-                    "dimension is required when there are no generators")
-            dim = self.mats[0].shape[0]
-        self.dim = int(dim)
         self.label = label
         self.perm_of = perm_of
-        for m in self.mats:
+        self.perms = None if perms is None else [
+            np.asarray(p, dtype=np.int64) for p in perms]
+        self._mats = None if perms is not None else [
+            np.array(m, dtype=np.int64) for m in mats]
+        if dim is None:
+            gens = self._mats if perms is None else self.perms
+            if not gens:
+                raise MeatAxeError(
+                    "dimension is required when there are no generators")
+            dim = len(gens[0])
+        self.dim = int(dim)
+        for p in self.perms or []:
+            if not np.array_equal(np.sort(p), np.arange(self.dim)):
+                raise MeatAxeError(
+                    f"generator is not a permutation of {self.dim} points")
+        for m in self._mats or []:
             if m.shape != (self.dim, self.dim):
                 raise MeatAxeError(
                     f"action matrix shape {m.shape} does not match dim {self.dim}")
             if m.size and (int(m.min()) < 0 or int(m.max()) >= field.order):
                 raise MeatAxeError("matrix entries are not field codes")
         if check:
-            for m in self.mats:
+            for m in self._mats or []:
                 if rank(field, m) != self.dim:
                     raise MeatAxeError("action matrix is singular")
+
+    @property
+    def mats(self) -> list:
+        """The generator matrices; a permutation module builds them here."""
+        if self._mats is None:
+            self._mats = [_perm_matrix(p) for p in self.perms]
+        return self._mats
+
+    @functools.cached_property
+    def _gens(self) -> list:
+        """What `_image` applies for each generator: the inverse permutation
+        for a permutation module, the matrix otherwise."""
+        if self.perms is None:
+            return self._mats
+        return [np.argsort(p) for p in self.perms]
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return (f"GModule(dim={self.dim}, GF({self.field.order}), "
-                f"{len(self.mats)} generators{tag})")
+                f"{len(self._gens)} generators{tag})")
+
+
+def _perm_matrix(perm) -> np.ndarray:
+    """The matrix with a one at (perm[i], i): it sends e_i to e_perm[i]."""
+    perm = np.asarray(perm, dtype=np.int64)
+    out = np.zeros((perm.size, perm.size), dtype=np.int64)
+    out[perm, np.arange(perm.size)] = 1
+    return out
+
+
+def _image(F: FiniteField, gen, rows) -> np.ndarray:
+    """Row-form image rows @ A.T of a block of rows under one generator A.
+
+    `gen` is A itself, or stands for it: a 1-D index array is the inverse
+    of a permutation (A e_i = e_perm[i]), whose image is the column gather
+    rows[:, inv_perm]; a callable is a row map, applied as it is.
+    """
+    if callable(gen):
+        return gen(rows)
+    if gen.ndim == 1:
+        return rows[:, gen]
+    return F.mat_mul(rows, gen.T)
 
 
 def _as_rows(F: FiniteField, dim: int, seeds):
@@ -143,24 +195,23 @@ def _as_rows(F: FiniteField, dim: int, seeds):
     return R[: len(pivots)], pivots
 
 
-def _spin_rows(F: FiniteField, mats, dim: int, seeds) -> np.ndarray:
+def _spin_rows(F: FiniteField, gens, dim: int, seeds) -> np.ndarray:
     """Incremental spin: only the rows added last round are multiplied.
 
-    The basis stays in RREF throughout.  Each generator's images of the
-    frontier are reduced against it by reading coordinates off the pivot
-    columns; the new echelon rows are merged in by clearing their pivot
-    columns from the old rows, so no elimination ever sees more than `dim`
-    rows.
+    `gens` are what `_image` applies.  The basis stays in RREF throughout.
+    Each generator's images of the frontier are reduced against it by
+    reading coordinates off the pivot columns; the new echelon rows are
+    merged in by clearing their pivot columns from the old rows, so no
+    elimination ever sees more than `dim` rows.
     """
     basis, pivots = _as_rows(F, dim, seeds)
-    transposed = [m.T.copy() for m in mats]
     frontier = basis
     while frontier.shape[0]:
         added = []
-        for t in transposed:
+        for gen in gens:
             if len(pivots) == dim:
                 break
-            images = F.mat_mul(frontier, t)
+            images = _image(F, gen, frontier)
             residue = F.mat_sub(images, F.mat_mul(images[:, pivots], basis))
             new, new_piv = rref(F, residue)
             if not new_piv:
@@ -177,12 +228,13 @@ def _spin_rows(F: FiniteField, mats, dim: int, seeds) -> np.ndarray:
 
 def spin(M: GModule, seeds) -> np.ndarray:
     """Canonical basis of the smallest invariant subspace containing seeds."""
-    return _spin_rows(M.field, M.mats, M.dim, seeds)
+    return _spin_rows(M.field, M._gens, M.dim, seeds)
 
 
-def _restrict(F: FiniteField, basis, pivots, A) -> np.ndarray:
-    """Matrix of A on the invariant row space spanned by the RREF basis."""
-    images = F.mat_mul(basis, A.T)
+def _restrict(F: FiniteField, basis, pivots, gen) -> np.ndarray:
+    """Matrix of a generator (as `_image` takes it) on the invariant row
+    space spanned by the RREF basis."""
+    images = _image(F, gen, basis)
     coords = images[:, pivots]
     if F.mat_sub(images, F.mat_mul(coords, basis)).any():
         raise MeatAxeError("subspace is not invariant under the action")
@@ -196,10 +248,10 @@ def submodule_module(M: GModule, basis, label="") -> GModule:
     basis = basis[: len(pivots)]
     if basis.shape[0] == 0:
         return GModule(F, [np.zeros((0, 0), dtype=np.int64)
-                           for _ in M.mats],
+                           for _ in M._gens],
                        dim=0, label=label or f"sub(0) of {M.label}",
                        check=False)
-    mats = [_restrict(F, basis, pivots, A) for A in M.mats]
+    mats = [_restrict(F, basis, pivots, gen) for gen in M._gens]
     return GModule(F, mats, dim=basis.shape[0],
                    label=label or f"sub({basis.shape[0]}) of {M.label}",
                    check=False)
@@ -284,12 +336,12 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
         return True, None
     F = M.field
     rng = np.random.default_rng(seed)
-    transposed = [A.T.copy() for A in M.mats]
+    transposed = [A.T for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
         theta = algebra_element(M, rng)
         for fmat, deg, null in _factor_candidates(F, theta):
             v = kernel(F, fmat)[0]
-            sub = _spin_rows(F, M.mats, M.dim, v)
+            sub = _spin_rows(F, M._gens, M.dim, v)
             if sub.shape[0] < M.dim:
                 return False, sub
             if null != deg:
@@ -504,16 +556,26 @@ def is_isomorphic(A: GModule, B: GModule, seed: int = DEFAULT_SEED) -> bool:
 # -- fixed points, socle-side helpers ---------------------------------------
 
 
-def fixed_points(F: FiniteField, mats, dim: int) -> np.ndarray:
-    """Canonical basis of the common eigenvalue-1 space of the matrices."""
-    basis = F.identity(dim)
-    eye = F.identity(dim)
-    for A in mats:
-        moved = F.mat_mul(basis, F.mat_sub(A, eye).T)
-        basis = row_basis(F, F.mat_mul(kernel(F, moved.T), basis))
+def fixed_points(F: FiniteField, gens, dim: int) -> np.ndarray:
+    """Canonical basis of the common eigenvalue-1 space of the generators.
+
+    `gens` are matrices, or anything else `_image` applies.  The first
+    generator's fixed space is the kernel of A - I itself: the basis
+    starts as the identity, so no product by it is formed.
+    """
+    basis = None
+    for gen in gens:
+        if basis is None:
+            eye = F.identity(dim)
+            rowform = (gen.T if not callable(gen) and gen.ndim == 2
+                       else _image(F, gen, eye))
+            basis = kernel(F, F.mat_sub(rowform, eye).T)
+        else:
+            moved = F.mat_sub(_image(F, gen, basis), basis)
+            basis = row_basis(F, F.mat_mul(kernel(F, moved.T), basis))
         if basis.shape[0] == 0:
             break
-    return basis
+    return F.identity(dim) if basis is None else basis
 
 
 def simple_submodule(M: GModule, seed: int = DEFAULT_SEED):

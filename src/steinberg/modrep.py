@@ -85,21 +85,15 @@ def _module_field(G: GLGroup, ell: int, d: int) -> FiniteField:
     return field(ell, d)
 
 
-def _perm_matrix(perm) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
-    out = np.zeros((perm.size, perm.size), dtype=np.int64)
-    out[perm, np.arange(perm.size)] = 1
-    return out
-
-
 def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
                         dim: int, label: str) -> GModule:
     """Permutation module over F of the group generated by `gens`.
 
     `perm_of(g)` is the permutation i -> g.i of the `dim` basis vectors for
-    a group element g (matrices over Fq); the module keeps it as `perm_of`.
-    Multiplicativity is spot-checked on three generator products, on the
-    permutations themselves.
+    a group element g (matrices over Fq); the module keeps it as `perm_of`
+    and the generators' permutations as `perms`, so it forms no matrix
+    unless a caller reads `mats`.  Multiplicativity is spot-checked on
+    three generator products, on the permutations themselves.
     """
     perms = [perm_of(g) for g in gens]
     m = len(perms)
@@ -109,8 +103,7 @@ def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
         if not np.array_equal(product, perms[i][perms[j]]):
             raise ModRepError(
                 "action map is not multiplicative on generator products")
-    return GModule(F, [_perm_matrix(p) for p in perms], dim=dim, label=label,
-                   perm_of=perm_of, check=False)
+    return GModule(F, perms=perms, dim=dim, label=label, perm_of=perm_of)
 
 
 def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
@@ -459,6 +452,21 @@ def group_elements(G: GLGroup) -> tuple:
     return elements, index
 
 
+def _regular_module(G: GLGroup, F: FiniteField, elements,
+                    index) -> GModule:
+    """The regular permutation module of G over F, on the basis
+    `elements` with the `index` of `group_elements(G)`: g sends x to gx."""
+    Fq = G.field
+
+    def perm_of(g):
+        return np.array([index[Fq.mat_mul(g, x).tobytes()] for x in elements],
+                        dtype=np.int64)
+
+    return _permutation_module(
+        Fq, G.generators, F, perm_of, len(elements),
+        f"regular module of {G!r} over GF({F.order})")
+
+
 @dataclass
 class GelfandGraevData:
     """The Gelfand-Graev module of a regular character and its trace on the
@@ -514,13 +522,7 @@ def gelfand_graev(G: GLGroup, character,
             idempotent_ok = False
             break
 
-    def regular_perm(g):
-        return np.array([index[Fq.mat_mul(g, x).tobytes()] for x in elements],
-                        dtype=np.int64)
-
-    regular = _permutation_module(
-        Fq, G.generators, F, regular_perm, len(elements),
-        f"regular module of {G!r} over GF({F.order})")
+    regular = _regular_module(G, F, elements, index)
     seed_vector = np.zeros(len(elements), dtype=np.int64)
     for u, value in zip(unipotents, values):
         seed_vector[index[u.tobytes()]] = value

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from steinberg import cli, hecke, modrep
-from steinberg.bngroup import GLGroup
+from steinberg import cli, hecke, meataxe, modrep
+from steinberg.bngroup import GLGroup, build_gl
 from steinberg.caps import MAX_DENSE_DIM
 from steinberg.cli import main
 from steinberg.gf import FieldError
@@ -154,7 +154,8 @@ def test_verify_builds_the_alternating_vector_once(capsys, monkeypatch):
 
 
 def test_verify_reads_hecke_operators_from_the_cell_table(capsys, monkeypatch):
-    # only sign_eigenspace builds operator matrices: one per simple reflection
+    # sign_eigenspace applies T_s by gathers through the cell table, so
+    # verify builds no operator matrix at all
     calls = []
     original = hecke.act_on_borel_module
 
@@ -166,7 +167,25 @@ def test_verify_reads_hecke_operators_from_the_cell_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "act_on_borel_module", counted, raising=False)
     code, _ = run_json(capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+def test_verify_builds_no_permutation_matrix(capsys, monkeypatch):
+    # permutation modules are spun and restricted by index gathers
+    calls = []
+    original = meataxe._perm_matrix
+
+    def counted(perm):
+        calls.append(len(perm))
+        return original(perm)
+
+    monkeypatch.setattr(meataxe, "_perm_matrix", counted)
+    code, _ = run_json(capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
+    assert code == 0
+    assert calls == []
+    # the count sees a module whose matrices are read
+    flags = modrep.borel_module(build_gl(2, 2), 3)
+    assert len(flags.mats) == len(calls) > 0
 
 
 def test_verify_gl42_ell7_socle_needs_no_kronecker_system(capsys):

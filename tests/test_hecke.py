@@ -4,7 +4,7 @@ and the realized action on flag cosets with its sign eigenvector."""
 import numpy as np
 import pytest
 
-from steinberg import gf
+from steinberg import gf, hecke
 from steinberg.bngroup import build_gl
 from steinberg.coxeter import build_weyl
 from steinberg.gf import field, kernel, rank
@@ -440,6 +440,29 @@ def test_check_payload():
     report3 = hecke_check(build_gl(3, 2), 7)
     assert report3["relations_ok"] and report3["lemma22_ok"]
     assert report3["eigenspace_dim"] == 8
+
+
+@pytest.mark.parametrize("broken", ["simple", "longest"])
+def test_check_relations_compare_against_operator_matrices(monkeypatch,
+                                                          broken):
+    # the relations apply T_s by gathers and must still catch an operator
+    # matrix that disagrees with them
+    G = build_gl(3, 2)
+    W = G.weyl
+    w_bad = W.gen_index(0) if broken == "simple" else W.longest_element()
+    original = hecke.act_on_borel_module
+
+    def tampered(G_, ell, w):
+        m = original(G_, ell, w)
+        if w == w_bad:
+            m = m.copy()
+            m[0, 0] = (m[0, 0] + 1) % ell
+        return m
+
+    monkeypatch.setattr(hecke, "act_on_borel_module", tampered)
+    report = hecke_check(G, 7)
+    assert not report["relations_ok"]
+    assert report["lemma22_ok"] and report["eigenspace_dim"] == 8
 
 
 def test_rank_zero_weyl_group():

@@ -11,7 +11,10 @@ square-free, then distinct-degree, then equal-degree factorization,
 the Norton test tried every root, every root-free quadratic and, over
 fields of at most 3 elements, every root-free cubic, and Harish-Chandra
 restriction took the fixed points of the dense radical matrices and
-restricted each Levi generator's permutation matrix to them.  Every
+restricted each Levi generator's permutation matrix to them, `kernel` set
+its entries in a scalar double loop, permutation modules were spun,
+restricted and fixed through their dense permutation matrices, and the
+eigenspace of the Hecke operators came from their dense matrices.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -27,7 +30,7 @@ from hypothesis.extra.numpy import arrays
 
 from steinberg import polynomials as poly
 from steinberg.bngroup import build_gl
-from steinberg.caps import MAX_NORTON_TRIES
+from steinberg.caps import MAX_NORTON_TRIES, MAX_REGULAR_ORDER
 from steinberg.gf import (
     charpoly,
     field,
@@ -36,11 +39,13 @@ from steinberg.gf import (
     kernel,
     rank,
     reduce_mod_rowspace,
+    row_basis,
     rref,
 )
 from steinberg.meataxe import (
     GModule,
     MeatAxeError,
+    _perm_matrix,
     _restrict,
     _spin_rows,
     algebra_element,
@@ -51,14 +56,17 @@ from steinberg.meataxe import (
     spin,
     submodule_module,
 )
+from steinberg.hecke import act_on_borel_module, sign_eigenspace
 from steinberg.modrep import (
-    _perm_matrix,
+    _regular_module,
     borel_module,
+    group_elements,
     hc_induce,
     hc_restrict,
     levi_borel_module,
     levi_generators,
     parabolic_perm_module,
+    steinberg_element,
 )
 
 FIELDS = (field(2), field(3), field(2, 2), field(13))
@@ -201,6 +209,21 @@ def hom_space_oracle(A, B):
         blocks.append(np.zeros((1, A.dim * B.dim), dtype=np.int64))
     ker = kernel(F, np.vstack(blocks))
     return [k.reshape(B.dim, A.dim) for k in ker]
+
+
+def kernel_oracle(F, A):
+    A = np.asarray(A, dtype=np.int64)
+    R, piv = rref(F, A)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in piv]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    K = np.zeros((len(free), cols), dtype=np.int64)
+    for i, c in enumerate(free):
+        K[i, c] = 1
+        for j, pc in enumerate(piv):
+            K[i, pc] = F.neg(int(R[j, c]))
+    return row_basis(F, K)
 
 
 def fixed_points_oracle(F, mats, dim):
@@ -501,6 +524,15 @@ def test_rref_matches_oracle(case):
 
 
 @SETTINGS
+@given(echelon_inputs())
+def test_kernel_matches_loop_oracle(case):
+    F, A = case
+    K = kernel(F, A)
+    assert np.array_equal(K, kernel_oracle(F, A))
+    assert not F.mat_mul(A, K.T).any()
+
+
+@SETTINGS
 @given(modules_and_seeds())
 def test_spin_and_derived_actions_match_oracles(case):
     F, mats, dim, seeds = case
@@ -603,3 +635,66 @@ def test_restriction_matches_dense_fixed_points_oracle(case):
         assert len(res.mats) == len(old), comp
         for A, B in zip(res.mats, old):
             assert np.array_equal(A, B), comp
+
+
+# -- permutation gathers and Hecke gather-sums against dense matrices ---------
+
+# the nine-case acceptance matrix, GL_3(4) ell=5 and both ladder rungs
+GATHER_CASES = ((2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
+                (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13), (3, 4, 5),
+                (3, 5, 2), (4, 2, 3))
+
+
+def _dense_twin(M):
+    """M with its generator permutation matrices: the route gathers replace."""
+    return GModule(M.field, [_perm_matrix(p) for p in M.perms], dim=M.dim,
+                   check=False)
+
+
+def _permutation_modules(n, q, ell):
+    """(module, seed rows) for the flag, a partial-flag and, where the group
+    is small enough, the regular permutation module; every seed spins to a
+    proper submodule."""
+    G = build_gl(n, q)
+    F = field(ell)
+    out = [(borel_module(G, ell), steinberg_element(G, ell))]
+    partial = parabolic_perm_module(G, (1, n - 1), ell)
+    augmentation = np.zeros(partial.dim, dtype=np.int64)
+    augmentation[:2] = [1, F.neg(1)]
+    out.append((partial, augmentation))
+    if G.order_g <= MAX_REGULAR_ORDER:
+        elements, index = group_elements(G)
+        unipotent = np.zeros(len(elements), dtype=np.int64)
+        for u in G.unipotent_elements():
+            unipotent[index[u.tobytes()]] = 1
+        out.append((_regular_module(G, F, elements, index), unipotent))
+    return out
+
+
+@pytest.mark.parametrize("case", GATHER_CASES, ids=str)
+def test_permutation_gathers_match_dense_matrices(case):
+    for M, seed in _permutation_modules(*case):
+        F, D = M.field, _dense_twin(M)
+        basis = spin(M, seed)
+        assert 0 < basis.shape[0] < M.dim, M.label
+        assert np.array_equal(basis, spin(D, seed)), M.label
+        sub, dense_sub = submodule_module(M, basis), submodule_module(D, basis)
+        for A, B in zip(sub.mats, dense_sub.mats, strict=True):
+            assert np.array_equal(A, B), M.label
+        for k in range(len(M.perms)):
+            for gens, mats in ((M._gens[:k + 1], D.mats[:k + 1]),
+                               (M._gens[k:k + 1], D.mats[k:k + 1])):
+                assert np.array_equal(fixed_points(F, gens, M.dim),
+                                      fixed_points(F, mats, M.dim)), M.label
+        assert M._mats is None, "the gathers built the dense matrices"
+
+
+@pytest.mark.parametrize("case", GATHER_CASES, ids=str)
+def test_sign_eigenspace_matches_dense_operator_fixed_points(case):
+    n, q, ell = case
+    G = build_gl(n, q)
+    F = field(ell)
+    negated = [F.mat_neg(act_on_borel_module(G, ell, G.weyl.gen_index(s)))
+               for s in range(G.weyl.rank)]
+    assert np.array_equal(sign_eigenspace(G, ell),
+                          fixed_points(F, negated, G.index))

@@ -240,6 +240,20 @@ def test_module_constructor_validation():
         GModule(F3, [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
     with pytest.raises(MeatAxeError):
         GModule(F3, [], dim=None)
+    for bad in ([0, 0, 1], [0, 1], [0, 1, 3]):
+        with pytest.raises(MeatAxeError):
+            GModule(F3, perms=[bad], dim=3)
+    with pytest.raises(MeatAxeError):
+        GModule(F3, perms=[], dim=None)
+
+
+def test_permutation_module_builds_matrices_on_first_read():
+    M = GModule(F3, perms=[[1, 2, 0]], label="3-cycle")
+    assert M.dim == 3 and M._mats is None
+    assert spin(M, [1, 0, 0]).shape == (3, 3)
+    assert M._mats is None
+    cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+    assert np.array_equal(M.mats[0], cycle)   # e_i -> e_{perm[i]}
 
 
 def test_algebra_element_is_seed_deterministic():

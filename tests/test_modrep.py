@@ -17,6 +17,7 @@ from steinberg.hecke import sign_eigenspace
 from steinberg.meataxe import (
     GModule,
     ModuleCapError,
+    _perm_matrix,
     composition_factors,
     composition_series,
     factor_multiplicities,
@@ -248,7 +249,7 @@ def _restricted_matrices(parent, basis, elements):
     """Matrices of group elements on the invariant span of the RREF `basis`,
     read off the permutations of the permutation module `parent`."""
     perms = GModule(parent.field,
-                    [modrep._perm_matrix(parent.perm_of(g)) for g in elements],
+                    [_perm_matrix(parent.perm_of(g)) for g in elements],
                     dim=parent.dim, check=False)
     return submodule_module(perms, basis).mats
 
@@ -499,12 +500,12 @@ def test_levi_permutation_is_the_kronecker_product():
                               for h in A.generators]
     for a in samples:
         for b in samples:
-            dense = np.kron(modrep._perm_matrix(A.coset_permutation(a)),
-                            modrep._perm_matrix(B.coset_permutation(b)))
+            dense = np.kron(_perm_matrix(A.coset_permutation(a)),
+                            _perm_matrix(B.coset_permutation(b)))
             block = G.field.identity(4)
             block[:2, :2] = a
             block[2:, 2:] = b
-            assert np.array_equal(modrep._perm_matrix(X.perm_of(block)),
+            assert np.array_equal(_perm_matrix(X.perm_of(block)),
                                   dense)
 
 
