@@ -382,9 +382,15 @@ class GLGroup:
             flag = self.canonical_flag(g)
             return flag, flag.tobytes()
 
-        return _orbit_cosets(self.field, self.generators,
-                             self.identity_element(), canon, self.index,
-                             "flag")
+        cs = _orbit_cosets(self.field, self.generators,
+                           self.identity_element(), canon, self.index, "flag")
+        # the orbit already holds the permutations of the generators, each a
+        # Bruhat factor of itself, and of the identity (the trivial n_w)
+        self._factor_perms[self.identity_element().tobytes()] = np.arange(
+            cs.size)
+        for gen, perm in zip(self.generators, cs.gen_perms):
+            self._factor_perms[gen.tobytes()] = perm
+        return cs
 
     def coset_index(self, g) -> int:
         return self.cosets.index[self.flag_key(g)]

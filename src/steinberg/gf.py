@@ -2,8 +2,10 @@
 
 Field elements are encoded as integers in [0, p^k): the base-p digits of the
 code are the coefficients of the residue polynomial, constant term first.
-Matrices are plain numpy int64 arrays of codes.  All operations are exact;
-nothing here ever touches floating point.
+Matrices are plain numpy int64 arrays of codes.  All results are exact.
+Floats appear only inside a matrix product whose every dot product is
+bounded below 2**53, where float64 sums of integers are exact; the product
+runs through `np.einsum`, which never calls a (multi-threaded) BLAS.
 
 The modulus for an extension field is chosen deterministically: the monic
 irreducible polynomial of degree k whose non-leading coefficient string has
@@ -35,6 +37,14 @@ __all__ = [
 
 # full multiplication/inverse tables only below this order
 _TABLE_LIMIT = 1 << 11
+# a float64 dot product of integers is exact while every sum stays below this
+_FLOAT_EXACT = 1 << 53
+# products with fewer multiply-adds stay on int64 `@`: converting small
+# factors to float64 costs more than einsum saves (without this floor both
+# benchmark workloads run about 7% slower)
+_FLOAT_MIN_MADDS = 1 << 15
+# the pivot search's first window of columns past an empty one
+_SCAN_WIDTH = 64
 
 
 class FieldError(ValueError):
@@ -279,25 +289,53 @@ class FiniteField:
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
+    def _mod(self, X):
+        """Reduce a fresh int64 array X into [0, p) in place.
+
+        X - (X // p) * p: numpy floor-divides by a scalar about twice as
+        fast as it takes `%`, and floor division keeps the result in [0, p).
+        """
+        quot = X // self.p
+        quot *= self.p
+        X -= quot
+        return X
+
+    def _product(self, A, B) -> np.ndarray:
+        """Exact integer product of two int64 matrices with entries in [0, p).
+
+        Large products run as float64 einsum when no dot product can reach
+        2**53, so every partial sum is an exactly representable integer.
+        """
+        if A.ndim == 2 and B.ndim == 2:
+            inner = A.shape[1]
+            if (A.shape[0] * inner * B.shape[1] >= _FLOAT_MIN_MADDS
+                    and inner * (self.p - 1) ** 2 < _FLOAT_EXACT):
+                # both factors row-major along the summed index: einsum's
+                # contiguous dot loop, fast for narrow B as well
+                return np.einsum("ij,kj->ik", A.astype(np.float64),
+                                 B.T.astype(np.float64, order="C")
+                                 ).astype(np.int64)
+        return A @ B
+
     def mat_add(self, A, B) -> np.ndarray:
         if self.k == 1:
-            return (A + B) % self.p
+            return self._mod(A + B)
         return self._encode(self._decode(A) + self._decode(B))
 
     def mat_sub(self, A, B) -> np.ndarray:
         if self.k == 1:
-            return (A - B) % self.p
+            return self._mod(A - B)
         return self._encode(self._decode(A) - self._decode(B))
 
     def mat_neg(self, A) -> np.ndarray:
         if self.k == 1:
-            return (-np.asarray(A)) % self.p
+            return self._mod(-np.asarray(A))
         return self._encode(-self._decode(A))
 
     def scale(self, c: int, A) -> np.ndarray:
         """c * A elementwise for a scalar code c."""
         if self.k == 1:
-            return (c * np.asarray(A)) % self.p
+            return self._mod(c * np.asarray(A))
         dc = self._decode1(c)
         dA = self._decode(A)  # (..., k)
         conv = np.zeros(dA.shape[:-1] + (2 * self.k - 1,), dtype=np.int64)
@@ -316,13 +354,10 @@ class FiniteField:
         return low
 
     def hadamard(self, A, B) -> np.ndarray:
-        """Elementwise product of two arrays of codes, numpy-broadcast.
-
-        A column times a row is the outer product of a rank-1 update.
-        """
+        """Elementwise product of two arrays of codes, numpy-broadcast."""
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
-            return (A * B) % self.p
+            return self._mod(A * B)
         dA, dB = self._decode(A), self._decode(B)
         shape = np.broadcast_shapes(A.shape, B.shape)
         conv = np.zeros(shape + (2 * self.k - 1,), dtype=np.int64)
@@ -331,10 +366,20 @@ class FiniteField:
                 conv[..., i + j] += dA[..., i] * dB[..., j]
         return self._encode(self._reduce_digit_stack(conv % self.p))
 
+    def sub_outer(self, X, col, row) -> np.ndarray:
+        """X - outer(col, row): the rank-1 update of elimination."""
+        col = np.asarray(col, dtype=np.int64)
+        row = np.asarray(row, dtype=np.int64)
+        if self.k == 1:
+            out = np.multiply.outer(col, row)
+            np.subtract(X, out, out=out)
+            return self._mod(out)
+        return self.mat_sub(X, self.hadamard(col.reshape(-1, 1), row))
+
     def mat_mul(self, A, B) -> np.ndarray:
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
-            return (A @ B) % self.p
+            return self._mod(self._product(A, B))
         dA = self._decode(A)  # (m, n, k)
         dB = self._decode(B)  # (n, r, k)
         m, n = A.shape
@@ -342,13 +387,13 @@ class FiniteField:
         conv = np.zeros((m, r, 2 * self.k - 1), dtype=np.int64)
         for i in range(self.k):
             for j in range(self.k):
-                conv[:, :, i + j] += dA[:, :, i] @ dB[:, :, j]
-        return self._encode(self._reduce_digit_stack(conv % self.p))
+                conv[:, :, i + j] += self._product(dA[:, :, i], dB[:, :, j])
+        return self._encode(self._reduce_digit_stack(self._mod(conv)))
 
     def mat_vec(self, A, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
         if self.k == 1:
-            return (np.asarray(A, dtype=np.int64) @ v) % self.p
+            return self._mod(np.asarray(A, dtype=np.int64) @ v)
         return self.mat_mul(A, v.reshape(-1, 1)).ravel()
 
     def random_matrix(self, rng, shape) -> np.ndarray:
@@ -394,6 +439,21 @@ def _check_dims(A):
         raise FieldError(f"matrix dimension exceeds cap {MAX_DENSE_DIM}")
 
 
+def _next_usable_column(R, r, c) -> int:
+    """Leftmost column from c on that is nonzero from row r down, else the
+    column count.  Windows of doubling width keep each scan proportional to
+    the run of zero columns it skips."""
+    cols = R.shape[1]
+    width = _SCAN_WIDTH
+    while c < cols:
+        hit = R[r:, c : c + width].any(axis=0).nonzero()[0]
+        if len(hit):
+            return c + int(hit[0])
+        c += width
+        width *= 2
+    return cols
+
+
 def rref(F: FiniteField, A) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (same shape, zero rows at the bottom), pivots.
 
@@ -405,29 +465,29 @@ def rref(F: FiniteField, A) -> tuple[np.ndarray, list[int]]:
     _check_dims(R)
     rows, cols = R.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        sub = R[r:, c]
-        nz = np.nonzero(sub)[0]
+    r = c = 0
+    while r < rows and c < cols:
+        nz = R[r:, c].nonzero()[0]
         if len(nz) == 0:
-            continue
+            c = _next_usable_column(R, r, c + 1)
+            if c == cols:
+                break
+            nz = R[r:, c].nonzero()[0]
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
+        # row r is zero left of c, so updates touch columns c: only
         piv = int(R[r, c])
         if piv != 1:
-            R[r] = F.scale(F.inv(piv), R[r])
+            R[r, c:] = F.scale(F.inv(piv), R[r, c:])
         colvals = R[:, c].copy()
         colvals[r] = 0
-        mask = np.nonzero(colvals)[0]
+        mask = colvals.nonzero()[0]
         if len(mask):
-            # row r is zero left of c, so the update touches columns c: only
-            R[mask, c:] = F.mat_sub(R[mask, c:], F.hadamard(
-                colvals[mask].reshape(-1, 1), R[r, c:]))
+            R[mask, c:] = F.sub_outer(R[mask, c:], colvals[mask], R[r, c:])
         pivots.append(c)
         r += 1
+        c += 1
     return R, pivots
 
 
@@ -488,9 +548,11 @@ def charpoly(F: FiniteField, A) -> list[int]:
         if i != c + 1:
             H[[c + 1, i]] = H[[i, c + 1]]
             H[:, [c + 1, i]] = H[:, [i, c + 1]]
-        f = F.scale(F.inv(int(H[c + 1, c])), H[c + 2 :, c]).reshape(-1, 1)
-        H[c + 2 :] = F.mat_sub(H[c + 2 :], F.hadamard(f, H[c + 1]))
-        H[:, c + 1] = F.mat_add(H[:, c + 1], F.mat_mul(H[:, c + 2 :], f)[:, 0])
+        f = F.scale(F.inv(int(H[c + 1, c])), H[c + 2 :, c])
+        # row c + 1 is zero left of column c, so the rows change from c on
+        H[c + 2 :, c:] = F.sub_outer(H[c + 2 :, c:], f, H[c + 1, c:])
+        H[:, c + 1] = F.mat_add(
+            H[:, c + 1], F.mat_mul(H[:, c + 2 :], f.reshape(-1, 1))[:, 0])
     # row m of P is the charpoly of the leading m x m block of H; betas[i]
     # is the subdiagonal product H[i+1, i] * ... * H[m-1, m-2]
     P = np.zeros((n + 1, n + 1), dtype=np.int64)

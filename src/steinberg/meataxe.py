@@ -304,12 +304,12 @@ def algebra_element(M: GModule, rng) -> np.ndarray:
 
 
 def _factor_candidates(F: FiniteField, theta: np.ndarray):
-    """Yield (f(theta), deg f, nullity) for the distinct irreducible factors
-    f of the characteristic polynomial of theta, lowest degree first."""
-    n = theta.shape[0]
+    """Yield (f(theta), deg f, canonical kernel basis of f(theta)) for the
+    distinct irreducible factors f of the characteristic polynomial of
+    theta, lowest degree first."""
     for f in irreducible_factors(F, charpoly(F, theta)):
         fmat = evaluate_matrix(F, f, theta)
-        yield fmat, len(f) - 1, n - rank(F, fmat)
+        yield fmat, len(f) - 1, kernel(F, fmat)
 
 
 def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
@@ -339,12 +339,11 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     transposed = [A.T for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
         theta = algebra_element(M, rng)
-        for fmat, deg, null in _factor_candidates(F, theta):
-            v = kernel(F, fmat)[0]
-            sub = _spin_rows(F, M._gens, M.dim, v)
+        for fmat, deg, null_basis in _factor_candidates(F, theta):
+            sub = _spin_rows(F, M._gens, M.dim, null_basis[0])
             if sub.shape[0] < M.dim:
                 return False, sub
-            if null != deg:
+            if null_basis.shape[0] != deg:
                 continue  # spin is full but the factor cannot certify
             w = kernel(F, fmat.T.copy())[0]
             dual_sub = _spin_rows(F, transposed, M.dim, w)
@@ -500,9 +499,10 @@ def hom_space(A: GModule, B: GModule):
     """Basis of the space of module maps A -> B, as dim(B) x dim(A) matrices.
 
     A map is a matrix X with X @ act_A(g) = act_B(g) @ X for every
-    generator.  Starting from all matrices, each generator keeps the
-    combinations of the current basis that X -> X A_g - B_g X sends to 0,
-    so no system has more than dim(A) * dim(B) rows or columns.
+    generator.  The first generator's maps are the kernel of its Kronecker
+    system; each later generator keeps the combinations of the current
+    basis that X -> X A_g - B_g X sends to 0, so no system has more than
+    dim(A) * dim(B) rows or columns.
     """
     F = A.field
     if B.field != F:
@@ -515,17 +515,25 @@ def hom_space(A: GModule, B: GModule):
             f"hom-space solve of size {da * db} exceeds cap {MAX_DENSE_DIM}")
     if da == 0 or db == 0:
         return []
-    basis = F.identity(da * db)
-    for Ag, Bg in zip(A.mats, B.mats):
+    pairs = list(zip(A.mats, B.mats))
+    if not pairs:
+        return [x.reshape(db, da) for x in F.identity(da * db)]
+    # row i is the image of matrix unit i under X -> X A_g - B_g X, so the
+    # first generator's kernel is the basis itself
+    Ag, Bg = pairs[0]
+    moved = F.mat_sub(np.kron(F.identity(db), Ag),
+                      np.kron(Bg.T, F.identity(da)))
+    basis = kernel(F, moved.T)
+    for Ag, Bg in pairs[1:]:
         k = basis.shape[0]
+        if k == 0:
+            break
         X = basis.reshape(k, db, da)
         right = F.mat_mul(X.reshape(k * db, da), Ag).reshape(k, db * da)
         left = F.mat_mul(Bg, X.transpose(1, 0, 2).reshape(db, k * da))
         left = left.reshape(db, k, da).transpose(1, 0, 2).reshape(k, db * da)
         # row i is the image of basis map i; keep the combinations that vanish
         keep = kernel(F, F.mat_sub(right, left).T)
-        if keep.shape[0] == 0:
-            return []
         basis = row_basis(F, F.mat_mul(keep, basis))
     return [x.reshape(db, da) for x in basis]
 

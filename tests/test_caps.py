@@ -4,8 +4,10 @@ up-front flag-count check of verify and hecke-check is complete."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import steinberg
-from steinberg import caps
+from steinberg import caps, gf
 
 PACKAGE = Path(steinberg.__file__).parent
 
@@ -50,3 +52,11 @@ def test_orderings_make_the_up_front_check_complete():
     assert caps.MAX_REGULAR_ORDER <= caps.MAX_DENSE_DIM
     # every group admitted by the dense check can be constructed
     assert caps.MAX_DENSE_DIM <= caps.MAX_FLAG_COUNT
+
+
+def test_float_products_are_exact_wherever_the_caps_admit():
+    # float64 holds every integer below 2**(mantissa bits + 1) exactly
+    float_exact = 2 ** (np.finfo(np.float64).nmant + 1)
+    assert gf._FLOAT_EXACT == float_exact
+    # no dot product of a dense-capped matrix over a capped field reaches it
+    assert caps.MAX_DENSE_DIM * (caps.MAX_FIELD_SIZE - 1) ** 2 < float_exact

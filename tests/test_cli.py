@@ -200,6 +200,17 @@ def test_verify_gl42_ell7_socle_needs_no_kronecker_system(capsys):
                                   {"dim": 45, "mult": 1}]
 
 
+def test_verify_gl37_ell2_largest_passing_rung(capsys):
+    # 456 flags, a 343-dimensional Steinberg module over GF(2)
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "7", "--ell", "2")
+    assert code == 0
+    assert len(payload["checks"]) == 9
+    assert all(c["pass"] for c in payload["checks"])
+    assert payload["factors"] == [{"dim": 1, "mult": 1},
+                                  {"dim": 342, "mult": 1}]
+
+
 def test_verify_irreducible_case_beyond_the_hom_space_cap(capsys):
     # socle and Steinberg factor are both 64-dimensional with equal
     # matrices; a hom space between them would solve a 4096-row system

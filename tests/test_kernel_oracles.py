@@ -14,7 +14,9 @@ restriction took the fixed points of the dense radical matrices and
 restricted each Levi generator's permutation matrix to them, `kernel` set
 its entries in a scalar double loop, permutation modules were spun,
 restricted and fixed through their dense permutation matrices, and the
-eigenspace of the Hecke operators came from their dense matrices.  Every
+eigenspace of the Hecke operators came from their dense matrices, and
+`mat_mul` multiplied int64 arrays (digit by digit over extension fields)
+with no float64 path.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -28,14 +30,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steinberg import polynomials as poly
+from steinberg import gf, polynomials as poly
 from steinberg.bngroup import build_gl
-from steinberg.caps import MAX_NORTON_TRIES, MAX_REGULAR_ORDER
+from steinberg.caps import (
+    MAX_DENSE_DIM,
+    MAX_FIELD_SIZE,
+    MAX_NORTON_TRIES,
+    MAX_REGULAR_ORDER,
+)
 from steinberg.gf import (
     charpoly,
     field,
     intersect_rowspaces,
     inverse,
+    is_prime,
     kernel,
     rank,
     reduce_mod_rowspace,
@@ -106,6 +114,17 @@ def rref_oracle(F, A):
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def mat_mul_oracle(F, A, B):
+    if F.k == 1:
+        return (A @ B) % F.p
+    dA, dB = F._decode(A), F._decode(B)
+    conv = np.zeros((A.shape[0], B.shape[1], 2 * F.k - 1), dtype=np.int64)
+    for i in range(F.k):
+        for j in range(F.k):
+            conv[:, :, i + j] += dA[:, :, i] @ dB[:, :, j]
+    return F._encode(F._reduce_digit_stack(conv % F.p))
 
 
 def row_basis_oracle(F, A):
@@ -404,6 +423,28 @@ def echelon_inputs(draw):
 
 
 @st.composite
+def sparse_wide_inputs(draw):
+    """Up to 40 columns with runs of zero columns and zero rows, 1 x N and
+    N x 1 among them: the shapes where the pivot search skips columns."""
+    F = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(0, MAX_DIM), st.integers(0, 40))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        A = F.mat_mul(draw(codes(F, (rows, k))), draw(codes(F, (k, cols))))
+    else:
+        A = draw(codes(F, (rows, cols))).copy()
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, cols))
+        A[:, start:start + draw(st.integers(1, 12))] = 0
+    if rows:
+        A[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0
+    return F, A
+
+
+@st.composite
 def modules_and_seeds(draw):
     """1-4 generators, often sharing an invariant coordinate subspace."""
     F = draw(st.sampled_from(FIELDS))
@@ -521,6 +562,110 @@ def test_rref_matches_oracle(case):
     R_old, pivots_old = rref_oracle(F, A)
     assert pivots == pivots_old
     assert np.array_equal(R, R_old)
+
+
+@SETTINGS
+@given(sparse_wide_inputs())
+def test_rref_matches_oracle_on_sparse_wide_inputs(case):
+    F, A = case
+    R, pivots = rref(F, A)
+    R_old, pivots_old = rref_oracle(F, A)
+    assert pivots == pivots_old
+    assert np.array_equal(R, R_old)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+@pytest.mark.parametrize("gap", (gf._SCAN_WIDTH - 1, gf._SCAN_WIDTH,
+                                 gf._SCAN_WIDTH + 1, 5 * gf._SCAN_WIDTH))
+def test_rref_matches_oracle_across_scan_windows(F, gap):
+    # runs of zero columns ending just inside, at and past the edges of the
+    # pivot search's doubling windows, then a tail of dependent columns
+    rng = np.random.default_rng(gap)
+    right = F.random_matrix(rng, (8, 3 * gap + 20))
+    right[:, 2 : 2 + gap] = 0
+    right[:, 5 + gap : 5 + 2 * gap] = 0
+    A = F.mat_mul(F.random_matrix(rng, (12, 8)), right)
+    R, pivots = rref(F, A)
+    R_old, pivots_old = rref_oracle(F, A)
+    assert pivots == pivots_old
+    assert np.array_equal(R, R_old)
+
+
+# (rows, inner, columns): empty, below and at the float crossover, narrow
+# and wide outputs, and an inner dimension past the float bound of GF(p)
+# for p near the field cap
+PRODUCT_SHAPES = ((0, 5, 7), (5, 0, 7), (3, 4, 5), (31, 32, 32),
+                  (32, 32, 32), (200, 200, 1), (1, 200, 200), (64, 48, 80),
+                  (2, 9000, 2))
+PRODUCT_FIELDS = FIELDS + (field(3, 2), field(1048573))
+
+
+@pytest.mark.parametrize("F", PRODUCT_FIELDS, ids=repr)
+def test_mat_mul_matches_integer_products(F):
+    rng = np.random.default_rng(5)
+    madds = {m * n * r for m, n, r in PRODUCT_SHAPES}
+    assert min(madds) < gf._FLOAT_MIN_MADDS <= max(madds)
+    for m, n, r in PRODUCT_SHAPES:
+        A = F.random_matrix(rng, (m, n))
+        B = F.random_matrix(rng, (n, r))
+        C = F.mat_mul(A, B)
+        assert C.dtype == np.int64
+        assert np.array_equal(C, mat_mul_oracle(F, A, B))
+        # a non-contiguous factor multiplies like its copy
+        assert np.array_equal(F.mat_mul(B.T, A.T), C.T)
+
+
+@pytest.mark.parametrize("F", (field(2), field(3), field(1048573)), ids=repr)
+@pytest.mark.parametrize("size", (1, 500, 5000))
+def test_prime_field_reductions_match_python_modulo(F, size):
+    # every reduction runs in place on a fresh array, never on an input
+    rng = np.random.default_rng(size)
+    p = F.p
+    A, B, X = (F.random_matrix(rng, (50, size // 50 + 1)) for _ in range(3))
+    col, row = A[:, 0].copy(), B[0].copy()
+    c = int(rng.integers(p))
+    inputs = [Y.copy() for Y in (A, B, X)]
+    assert np.array_equal(F.mat_add(A, B), (A + B) % p)
+    assert np.array_equal(F.mat_sub(A, B), (A - B) % p)
+    assert np.array_equal(F.scale(c, A), (c * A) % p)
+    assert np.array_equal(F.hadamard(A, B), (A * B) % p)
+    assert np.array_equal(F.sub_outer(X, col, row),
+                          (X - np.outer(col, row)) % p)
+    assert all(np.array_equal(Y, Z) for Y, Z in zip((A, B, X), inputs))
+
+
+def test_float_products_are_exact_at_the_caps():
+    # the largest prime field and the longest dot product the caps admit,
+    # every entry p - 1: each dot product is MAX_DENSE_DIM * (p - 1)^2
+    p = 1048573
+    assert is_prime(p)
+    assert not any(is_prime(x) for x in range(p + 1, MAX_FIELD_SIZE))
+    F = field(p)
+    A = np.full((3, MAX_DENSE_DIM), p - 1, dtype=np.int64)
+    B = np.full((MAX_DENSE_DIM, 17), p - 1, dtype=np.int64)
+    assert 3 * MAX_DENSE_DIM * 17 >= gf._FLOAT_MIN_MADDS
+    C = F.mat_mul(A, B)
+    assert np.array_equal(C, (A @ B) % p)
+    assert (C == MAX_DENSE_DIM % p).all()  # (p - 1)^2 = 1 mod p
+
+
+def test_products_beyond_the_float_bound_fall_back_exactly():
+    # a 1 x N by N x 1 product whose dot product is far past 2**53, where
+    # float64 sums round away the odd last term
+    p = 1048573
+    F = field(p)
+    n = 1 << 17
+    A = np.full((1, n), p - 2, dtype=np.int64)
+    B = np.full((n, 1), p - 1, dtype=np.int64)
+    B[-1] = 1
+    assert n >= gf._FLOAT_MIN_MADDS
+    assert n * (p - 1) ** 2 >= gf._FLOAT_EXACT
+    exact = (n - 1) * (p - 2) * (p - 1) + (p - 2)
+    as_float = np.einsum("ij,kj->ik", A.astype(np.float64),
+                         B.T.astype(np.float64, order="C"))
+    assert int(as_float[0, 0]) % p != exact % p  # the float path is wrong
+    assert F.mat_mul(A, B).tolist() == [[exact % p]]
+    assert F.mat_mul(A, B).tolist() == ((A @ B) % p).tolist()
 
 
 @SETTINGS
