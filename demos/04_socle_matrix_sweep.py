@@ -26,7 +26,7 @@ for n, q, ell in MATRIX:
     G = build_gl(n, q)
     st = steinberg_module(G, ell)
     factors = composition_factors(st.module)
-    sd = socle_of_steinberg(G, st)
+    sd = socle_of_steinberg(G, st, factors)
     dims = "+".join(str(f.dim) for f in factors)
     is_triv = sd.module.dim == 1 and all(
         int(m[0, 0]) == 1 for m in sd.module.mats)

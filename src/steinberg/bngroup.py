@@ -5,20 +5,21 @@ of field codes, the Borel subgroup B is upper triangular, the torus H is
 diagonal, U is upper unitriangular, and Weyl group elements w carry
 permutation-matrix representatives n_w.  On top of that this module offers:
 
-* sharp Bruhat decomposition g = b * n_w * u with u in U_w, the subgroup
-  of U supported on the inversion positions of w (the triple is unique and
-  is verified on every call);
 * the finite flag variety G/B as canonical column-echelon representatives,
-  enumerated in a deterministic breadth-first order that also records each
-  generator's permutation of the flags;
-* the permutation action of an arbitrary group element on G/B, composed
-  along its Bruhat factors from cached permutations of root elements,
-  single-entry torus elements and Weyl representatives;
-* the cell table of Bruhat cells of all pairs of flags, with row 0 from
-  Bruhat cells and every other row propagated along the breadth-first
-  tree, since the Weyl distance between flags is G-invariant;
+  computed for a whole stack of matrices at once, and enumerated in a
+  deterministic breadth-first order, a level at a time, that also records
+  each generator's permutation of the flags;
+* the permutation action of any group element on G/B or G/P, by
+  canonicalizing its products with all representatives in one stack;
+* the cell table of Bruhat cells of all pairs of flags, with row 0 read
+  off the pivot rows of the canonical representatives and every other row
+  propagated along the breadth-first tree, since the Weyl distance between
+  flags is G-invariant;
 * standard parabolic subgroups P = U_P x L for a composition of n, with
   canonical G/P coset data and Levi projections;
+* sharp Bruhat decomposition g = b * n_w * u with u in U_w, the subgroup
+  of U supported on the inversion positions of w (the triple is unique and
+  is verified on every call), for reports and tests;
 * linear characters of U that are nontrivial on every simple-root subgroup
   and trivial on the commutator subgroup [U, U], taking values in a small
   extension of the prime field of the coefficient side.
@@ -42,7 +43,6 @@ from .coxeter import CoxeterGroup
 from .coxeter import build_weyl as _build_weyl
 from .gf import FiniteField, field_of_order, is_prime, prime_power
 from .gf import inverse as mat_inverse
-from .gf import row_basis
 
 __all__ = [
     "GroupError",
@@ -72,12 +72,13 @@ class CosetSpace:
     """Cosets gK of a subgroup K, as canonical keys plus representatives.
 
     The cosets are numbered in breadth-first order from K itself under left
-    multiplication by the group generators.  `parent[i]` is the coset whose
-    image under generator `parent_gen[i]` first reached coset i (-1 for
-    coset 0), and row k of `gen_perms` is the permutation of generator k.
+    multiplication by the group generators.  `reps` is the (size, n, n)
+    stack of representatives, `parent[i]` is the coset whose image under
+    generator `parent_gen[i]` first reached coset i (-1 for coset 0), and
+    row k of `gen_perms` is the permutation of generator k.
     """
 
-    reps: list
+    reps: np.ndarray
     index: dict
     size: int
     parent: np.ndarray
@@ -85,43 +86,77 @@ class CosetSpace:
     gen_perms: np.ndarray
 
 
+def _left_multiply(F: FiniteField, g, stack) -> np.ndarray:
+    """g @ A for every A in an (m, n, n) stack, as one 2-D product of g
+    with the stack laid side by side."""
+    m, n, _ = stack.shape
+    g = np.asarray(g, dtype=np.int64)
+    if g.shape != (n, n):
+        raise GroupError(f"expected a {n}x{n} matrix, got {g.shape}")
+    wide = F.mat_mul(g, stack.transpose(1, 0, 2).reshape(n, m * n))
+    return np.ascontiguousarray(wide.reshape(n, m, n).transpose(1, 0, 2))
+
+
 def _orbit_cosets(F: FiniteField, generators, start, canon, expected: int,
                   label: str) -> CosetSpace:
     """Breadth-first orbit of the coset of `start` under the generators.
 
-    `canon(g)` returns (representative, key) of the coset of g; equal keys
-    mean equal cosets.
+    `canon(stack)` returns (representatives, keys) of the cosets of a stack
+    of matrices; equal keys mean equal cosets.  The orbit grows a level at
+    a time, one stacked product and canonicalization per generator, and
+    numbers new cosets in queue order: by coset, then by generator.
     """
-    rep, key = canon(start)
-    reps, index = [rep], {key: 0}
+    frontier, keys = canon(start[None])
+    levels, index = [frontier], {keys[0]: 0}
     parent, parent_gen = [-1], [-1]
     images = [[] for _ in generators]
-    i = 0
-    while i < len(reps):
-        for k, gen in enumerate(generators):
-            rep, key = canon(F.mat_mul(gen, reps[i]))
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(reps)
-                reps.append(rep)
-                parent.append(i)
-                parent_gen.append(k)
-            images[k].append(j)
-        i += 1
-    if len(reps) != expected:
+    done = 0
+    while len(frontier):
+        found = [canon(_left_multiply(F, gen, frontier)) for gen in generators]
+        new = []
+        for i in range(len(frontier)):
+            for k, (reps, keys) in enumerate(found):
+                j = index.get(keys[i])
+                if j is None:
+                    j = index[keys[i]] = len(parent)
+                    new.append(reps[i])
+                    parent.append(done + i)
+                    parent_gen.append(k)
+                images[k].append(j)
+        done += len(frontier)
+        frontier = np.array(new, dtype=np.int64).reshape(-1, *start.shape)
+        levels.append(frontier)
+    if done != expected:
         raise GroupError(
-            f"{label} orbit found {len(reps)} cosets, expected {expected}")
+            f"{label} orbit found {done} cosets, expected {expected}")
     return CosetSpace(
-        reps=reps, index=index, size=len(reps),
+        reps=np.concatenate(levels), index=index, size=done,
         parent=np.array(parent, dtype=np.int64),
         parent_gen=np.array(parent_gen, dtype=np.int64),
         gen_perms=np.array(images, dtype=np.int64).reshape(
-            len(generators), len(reps)))
+            len(generators), done))
+
+
+def _act_on_cosets(F: FiniteField, g, cosets: CosetSpace,
+                   canon) -> np.ndarray:
+    """Permutation i -> index of the coset of g * rep_i, with `canon` as in
+    _orbit_cosets."""
+    _, keys = canon(_left_multiply(F, g, cosets.reps))
+    out = np.array([cosets.index[key] for key in keys], dtype=np.int64)
+    if len(set(out.tolist())) != out.size:
+        raise GroupError("coset action is not a permutation")
+    return out
+
+
+def _last_nonzero_rows(A) -> np.ndarray:
+    """(m, c) array: the last nonzero row of each column of an (m, n, c)
+    stack (n - 1 for a zero column)."""
+    return A.shape[1] - 1 - np.argmax(A[:, ::-1, :] != 0, axis=1)
 
 
 def _trivial_weyl() -> CoxeterGroup:
     return CoxeterGroup(
-        kind="A", rank=0, bond=None,
+        kind="A", rank=0,
         coxeter_matrix=np.zeros((0, 0), dtype=np.int64),
         gens=[], elements=[(0,)], index={(0,): 0},
         lengths=np.zeros(1, dtype=np.int64),
@@ -155,7 +190,6 @@ class GLGroup:
             classical *= q ** i - 1
         if classical != self.order_g:
             raise GroupError("order bookkeeping is inconsistent")
-        self._factor_perms: dict[bytes, np.ndarray] = {}
 
     def _poincare_sum(self) -> int:
         return sum(self.q ** int(l) for l in self.weyl.lengths)
@@ -342,127 +376,85 @@ class GLGroup:
 
     # -- the flag variety G/B ----------------------------------------------
 
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        """inverses[c] = 1/c for every nonzero field code c (0 at 0)."""
+        F = self.field
+        codes = np.arange(F.order, dtype=np.int64)
+        out, e = np.ones_like(codes), F.order - 2
+        while e:  # c^(q-2) by repeated squaring, on all codes at once
+            if e & 1:
+                out = F.hadamard(out, codes)
+            codes = F.hadamard(codes, codes)
+            e >>= 1
+        out[0] = 0
+        return out
+
     def canonical_flag(self, g) -> np.ndarray:
-        """Unique coset representative of gB in column-echelon normal form.
+        """Unique coset representative of gB in column-echelon normal form,
+        for one n-by-n matrix g or an (m, n, n) stack of them.
 
         Columns are processed left to right: entries in the pivot rows of
         earlier columns are cleared, then the bottom-most remaining nonzero
-        entry becomes a pivot scaled to 1.
+        entry becomes a pivot scaled to 1.  So the pivot row of each column
+        is its last nonzero row.
         """
-        F = self.field
-        n = self.n
-        A = np.array(g, dtype=np.int64, copy=True)
-        if A.shape != (n, n):
-            raise GroupError(f"expected a {n}x{n} matrix, got {A.shape}")
-        pivot_rows: list[int] = []
+        F, n = self.field, self.n
+        A = np.array(g, dtype=np.int64)
+        if A.ndim not in (2, 3) or A.shape[-2:] != (n, n):
+            raise GroupError(f"expected {n}x{n} matrices, got {A.shape}")
+        flags = A.reshape(-1, n, n)
+        at = np.arange(len(flags))
+        pivots = np.empty((len(flags), n), dtype=np.int64)
         for j in range(n):
-            for jj, r in enumerate(pivot_rows):
-                c = int(A[r, j])
-                if c:
-                    A[:, j] = F.mat_sub(A[:, j:j + 1],
-                                        F.scale(c, A[:, jj:jj + 1]))[:, 0]
-            nz = np.nonzero(A[:, j])[0]
-            if len(nz) == 0:
+            col = flags[:, :, j:j + 1]
+            for jj in range(j):
+                c = col[at, pivots[:, jj], 0]
+                col = F.mat_sub(col, F.hadamard(c[:, None, None],
+                                                flags[:, :, jj:jj + 1]))
+            pivots[:, j] = _last_nonzero_rows(col)[:, 0]
+            c = col[at, pivots[:, j], 0]
+            if not c.all():
                 raise GroupError("singular matrix does not define a flag")
-            r = int(nz[-1])
-            c = int(A[r, j])
-            if c != 1:
-                A[:, j] = F.scale(F.inv(c), A[:, j:j + 1])[:, 0]
-            pivot_rows.append(r)
+            flags[:, :, j:j + 1] = F.hadamard(
+                self._inverses[c][:, None, None], col)
         return A
 
     def flag_key(self, g) -> bytes:
         return self.canonical_flag(g).tobytes()
 
+    def _flag_canon(self, stack):
+        flags = self.canonical_flag(stack)
+        return flags, [flag.tobytes() for flag in flags]
+
     @cached_property
     def cosets(self) -> CosetSpace:
         """G/B enumerated breadth-first from the identity coset."""
-
-        def canon(g):
-            flag = self.canonical_flag(g)
-            return flag, flag.tobytes()
-
-        cs = _orbit_cosets(self.field, self.generators,
-                           self.identity_element(), canon, self.index, "flag")
-        # the orbit already holds the permutations of the generators, each a
-        # Bruhat factor of itself, and of the identity (the trivial n_w)
-        self._factor_perms[self.identity_element().tobytes()] = np.arange(
-            cs.size)
-        for gen, perm in zip(self.generators, cs.gen_perms):
-            self._factor_perms[gen.tobytes()] = perm
-        return cs
+        return _orbit_cosets(self.field, self.generators,
+                             self.identity_element(), self._flag_canon,
+                             self.index, "flag")
 
     def coset_index(self, g) -> int:
         return self.cosets.index[self.flag_key(g)]
 
-    def _factor_permutation(self, g) -> np.ndarray:
-        """Coset permutation of a Bruhat factor by canonicalizing every flag.
-
-        Memoized per group: only root elements, single-entry torus elements
-        and Weyl representatives come here, so the cache stays small.
-        """
-        key = g.tobytes()
-        perm = self._factor_perms.get(key)
-        if perm is None:
-            cs = self.cosets
-            perm = np.array(
-                [cs.index[self.flag_key(self.field.mat_mul(g, rep))]
-                 for rep in cs.reps], dtype=np.int64)
-            self._factor_perms[key] = perm
-        return perm
-
-    def _entry_permutation(self, a: int, b: int, c: int) -> np.ndarray:
-        """Permutation of the identity matrix with entry (a, b) set to c."""
-        x = self.field.identity(self.n)
-        x[a, b] = c
-        return self._factor_permutation(x)
-
-    def _unipotent_action(self, u, out: np.ndarray) -> np.ndarray:
-        """Compose the permutation of a unit upper triangular u onto `out`.
-
-        u = E_{n-1} ... E_1, where E_b is the (commuting) product of the
-        root elements x_ab(u[a, b]) of column b, so E_1 acts first.
-        """
-        for b in range(1, self.n):
-            for a in range(b):
-                c = int(u[a, b])
-                if c:
-                    out = self._entry_permutation(a, b, c)[out]
-        return out
-
     def coset_permutation(self, g) -> np.ndarray:
-        """Permutation i -> index of g * rep_i; left action on G/B.
-
-        Factors g = h * u_b * n_w * u with the verified Bruhat decomposition
-        (b = h * u_b, h diagonal) and composes the memoized permutations of
-        root elements, single-entry torus elements and n_w.
-        """
-        F = self.field
-        b, w, u = self.bruhat(g)
-        h = [int(c) for c in np.diagonal(b)]
-        u_b = F.mat_mul(self.torus_element([F.inv(c) for c in h]), b)
-        out = self._unipotent_action(u, np.arange(self.cosets.size))
-        out = self._factor_permutation(self.weyl_rep(w))[out]
-        out = self._unipotent_action(u_b, out)
-        for i, c in enumerate(h):
-            if c != 1:
-                out = self._entry_permutation(i, i, c)[out]
-        if len(set(out.tolist())) != out.size:
-            raise GroupError("coset action is not a permutation")
-        return out
+        """Permutation i -> index of g * rep_i; left action on G/B."""
+        return _act_on_cosets(self.field, g, self.cosets, self._flag_canon)
 
     @cached_property
     def cell_table(self) -> np.ndarray:
         """cell_table[i, j] = Weyl index of the cell containing rep_i^{-1} rep_j.
 
-        Row 0 (rep_0 is the identity) comes from Bruhat cells.  The Weyl
-        distance is G-invariant, table[g.i, g.j] = table[i, j], so every
-        other row is its BFS parent's row gathered through the inverse
-        permutation of the generator that reached it.
+        Row 0 (rep_0 is the identity) reads each flag's Bruhat cell off the
+        pivot rows of its canonical representative.  The Weyl distance is
+        G-invariant, table[g.i, g.j] = table[i, j], so every other row is
+        its BFS parent's row gathered through the inverse permutation of
+        the generator that reached it.
         """
         cs = self.cosets
         table = np.empty((cs.size, cs.size), dtype=np.int64)
-        table[0] = [self.weyl_of(rep) for rep in cs.reps]
+        table[0] = [self.weyl.index[tuple(rows)]
+                    for rows in _last_nonzero_rows(cs.reps).tolist()]
         inv_perms = np.argsort(cs.gen_perms, axis=1)
         for c in range(1, cs.size):
             table[c] = table[cs.parent[c]][inv_perms[cs.parent_gen[c]]]
@@ -593,24 +585,33 @@ class ParabolicSubgroup:
 
     # -- the coset space G/P ----------------------------------------------
 
+    def _coset_keys(self, stack) -> list:
+        """Canonical keys of the cosets gP of an (m, n, n) stack.
+
+        gP holds exactly one flag whose pivot rows increase along each
+        block of columns: the canonical flag of g with each block's columns
+        sorted by pivot row, then canonicalized again.  Its bytes are the
+        key.
+        """
+        G = self.group
+        flags = G.canonical_flag(stack)
+        order = np.argsort(self._block_of * G.n + _last_nonzero_rows(flags),
+                           axis=1)
+        flags = np.take_along_axis(flags, order[:, None, :], axis=2)
+        return [key.tobytes() for key in G.canonical_flag(flags)]
+
     def coset_key(self, g) -> bytes:
-        """Canonical key of gP: echelon bases of the prefix column spans."""
-        F = self.group.field
-        g = np.asarray(g)
-        parts = []
-        for m in self.cutpoints:
-            basis = row_basis(F, g[:, :m].T)
-            if basis.shape[0] != m:
-                raise GroupError("singular matrix does not define a coset")
-            parts.append(basis.tobytes())
-        return b"|".join(parts)
+        """Canonical key of gP; see _coset_keys."""
+        return self._coset_keys(np.asarray(g)[None])[0]
+
+    def _coset_canon(self, stack):
+        return stack, self._coset_keys(stack)
 
     @cached_property
     def cosets(self) -> CosetSpace:
         G = self.group
         return _orbit_cosets(G.field, G.generators, G.identity_element(),
-                             lambda g: (g, self.coset_key(g)), self.index,
-                             "G/P")
+                             self._coset_canon, self.index, "G/P")
 
     def coset_index(self, g) -> int:
         return self.cosets.index[self.coset_key(g)]
@@ -625,13 +626,9 @@ class ParabolicSubgroup:
         return i, p
 
     def coset_permutation(self, g) -> np.ndarray:
-        cs = self.cosets
-        out = np.empty(cs.size, dtype=np.int64)
-        for i, rep in enumerate(cs.reps):
-            out[i] = cs.index[self.coset_key(self.group.field.mat_mul(g, rep))]
-        if len(set(out.tolist())) != cs.size:
-            raise GroupError("coset action is not a permutation")
-        return out
+        """Permutation i -> index of g * rep_i; left action on G/P."""
+        return _act_on_cosets(self.group.field, g, self.cosets,
+                              self._coset_canon)
 
 
 class RegularCharacter:

@@ -48,7 +48,6 @@ from .meataxe import (
     DEFAULT_SEED,
     composition_factors,
     factor_multiplicities,
-    multiplicity_of,
 )
 from .modrep import ModRepError, socle_of_steinberg, steinberg_module
 
@@ -75,6 +74,10 @@ def _finite_or_none(e):
 
 def _check(checks, name, ok, details):
     checks.append({"name": name, "pass": bool(ok), "details": details})
+
+
+def _is_trivial(M) -> bool:
+    return M.dim == 1 and all(np.array_equal(A, [[1]]) for A in M.mats)
 
 
 def cmd_verify(args) -> tuple:
@@ -141,10 +144,11 @@ def cmd_verify(args) -> tuple:
 
     trivial_socle = False
     try:
-        sd = socle_of_steinberg(G, data, seed=seed)
-        mult = multiplicity_of(sd.module, factors)
-        trivial_socle = sd.module.dim == 1 and all(
-            np.array_equal(A, [[1]]) for A in sd.module.mats)
+        sd = socle_of_steinberg(G, data, factors)
+        # the socle is factors[0], so its multiplicity is that of the
+        # first group
+        mult = grouped[0][1]
+        trivial_socle = _is_trivial(sd.module)
         _check(checks, "socle_simple_and_unique", mult == 1,
                f"socle dim {sd.module.dim}, multiplicity {mult}, "
                f"unipotent fixed dim {sd.fix_dim}")
@@ -158,10 +162,7 @@ def cmd_verify(args) -> tuple:
     details = (f"socle trivial: {trivial_socle}, "
                f"q = -1 mod ell: {q_is_minus_one}")
     if not q_is_minus_one and divisible:
-        absent = all(
-            not (f.dim == 1 and all(np.array_equal(A, [[1]])
-                                    for A in f.module.mats))
-            for f in factors)
+        absent = not any(_is_trivial(f.module) for f in factors)
         ok = ok and absent
         details += f", trivial factor absent: {absent}"
     _check(checks, "trivial_socle_iff_q_minus_one", ok, details)

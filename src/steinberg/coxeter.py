@@ -1,11 +1,9 @@
-"""Finite Coxeter groups of types A, B, D and I2(m) as permutation groups.
+"""Finite Coxeter groups of types A and B as permutation groups.
 
 Elements are stored as immutable tuples:
 
 * type A_n: one-line permutations of {0, ..., n},
-* types B_n / D_n: signed windows (w(1), ..., w(n)) with values in +-{1..n},
-* type I2(m): permutations of the 2m "root points" 0..2m-1, where points
-  0..m-1 are the positive ones.
+* type B_n: signed windows (w(1), ..., w(n)) with values in +-{1..n}.
 
 The group is enumerated once by BFS over the right Cayley graph, which also
 assigns lengths; the per-type inversion-count formulas are kept alongside so
@@ -68,7 +66,6 @@ class CoxeterGroup:
 
     kind: str
     rank: int
-    bond: int | None
     coxeter_matrix: np.ndarray
     gens: list
     elements: list = dc_field(default_factory=list)
@@ -79,12 +76,12 @@ class CoxeterGroup:
     # -- raw element ops --------------------------------------------------
 
     def compose(self, x, y):
-        if self.kind in ("B", "D"):
+        if self.kind == "B":
             return _compose_signed(x, y)
         return _compose_perm(x, y)
 
     def invert_element(self, x):
-        if self.kind in ("B", "D"):
+        if self.kind == "B":
             return _invert_signed(x)
         return _invert_perm(x)
 
@@ -130,15 +127,8 @@ class CoxeterGroup:
 
     def inversion_length(self, x) -> int:
         """Length recomputed from the stored permutation alone."""
-        if self.kind == "A":
-            n = len(x)
-            return sum(1 for i in range(n) for j in range(i + 1, n) if x[i] > x[j])
-        if self.kind == "B":
-            return _inversions_window(x) + sum(-v for v in x if v < 0)
-        if self.kind == "D":
-            return _inversions_window(x) + sum(-v - 1 for v in x if v < 0)
-        m = self.bond
-        return sum(1 for j in range(m) if x[j] >= m)
+        negatives = 0 if self.kind == "A" else sum(-v for v in x if v < 0)
+        return _inversions_window(x) + negatives
 
     def poincare_polynomial(self) -> list[int]:
         top = int(self.lengths.max())
@@ -239,7 +229,7 @@ class CoxeterGroup:
 
     def summary(self) -> dict:
         return {
-            "type": self.kind if self.kind != "I2" else f"I2({self.bond})",
+            "type": self.kind,
             "rank": self.rank,
             "order": self.order,
             "longest_length": int(self.lengths.max()),
@@ -277,37 +267,10 @@ def _gens_type_b(n):
     return gens, m, tuple(range(1, n + 1))
 
 
-def _gens_type_d(n):
-    gens = []
-    w = list(range(1, n + 1))
-    w[0], w[1] = -2, -1
-    gens.append(tuple(w))
-    for i in range(1, n):
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        gens.append(tuple(w))
-    m = np.full((n, n), 2, dtype=np.int64)
-    if n >= 3:
-        m[0, 2] = m[2, 0] = 3
-    for i in range(1, n - 1):
-        m[i, i + 1] = m[i + 1, i] = 3
-    np.fill_diagonal(m, 1)
-    return gens, m, tuple(range(1, n + 1))
-
-
-def _gens_type_i2(m):
-    pts = 2 * m
-    s1 = tuple((m - j) % pts for j in range(pts))
-    s2 = tuple((m - 2 - j) % pts for j in range(pts))
-    cm = np.array([[1, m], [m, 1]], dtype=np.int64)
-    return [s1, s2], cm, tuple(range(pts))
-
-
 def build_weyl(kind: str, rank: int) -> CoxeterGroup:
     """Build and fully enumerate a finite Coxeter group.
 
-    kind is one of "A", "B", "D", "I2"; for "I2" the second argument is the
-    bond m (the group is dihedral of order 2m).
+    kind is "A" or "B".
     """
     kind = kind.upper()
     if kind == "A":
@@ -317,8 +280,6 @@ def build_weyl(kind: str, rank: int) -> CoxeterGroup:
         expected = 1
         for i in range(2, rank + 2):
             expected *= i
-        bond = None
-        true_rank = rank
     elif kind == "B":
         if rank < 2:
             raise CoxeterError("type B needs rank >= 2")
@@ -326,31 +287,12 @@ def build_weyl(kind: str, rank: int) -> CoxeterGroup:
         expected = 2 ** rank
         for i in range(2, rank + 1):
             expected *= i
-        bond = None
-        true_rank = rank
-    elif kind == "D":
-        if rank < 2:
-            raise CoxeterError("type D needs rank >= 2")
-        gens, cm, ident = _gens_type_d(rank)
-        expected = 2 ** (rank - 1)
-        for i in range(2, rank + 1):
-            expected *= i
-        bond = None
-        true_rank = rank
-    elif kind == "I2":
-        if rank < 2:
-            raise CoxeterError("type I2 needs bond >= 2")
-        gens, cm, ident = _gens_type_i2(rank)
-        expected = 2 * rank
-        bond = rank
-        true_rank = 2
     else:
         raise CoxeterError(f"unsupported type {kind!r}")
     if expected > MAX_GROUP_ORDER:
         raise CoxeterError(f"group order {expected} exceeds cap {MAX_GROUP_ORDER}")
 
-    W = CoxeterGroup(kind=kind, rank=true_rank, bond=bond, coxeter_matrix=cm,
-                     gens=gens)
+    W = CoxeterGroup(kind=kind, rank=rank, coxeter_matrix=cm, gens=gens)
     elements = [ident]
     index = {ident: 0}
     lengths = [0]

@@ -212,16 +212,24 @@ class FiniteField:
         if self.k == 1 or self.order > _TABLE_LIMIT:
             return self._mul_table
         if self._mul_table is None:
+            # the powers of some primitive element, by polynomial products,
+            # give discrete logs: a * b = exp[log a + log b]
             q = self.order
-            codes = np.arange(q, dtype=np.int64)
+            for a in range(2, q):
+                exp, x = [1], a
+                while x != 1:
+                    exp.append(x)
+                    x = self._mul_poly(x, a)
+                if len(exp) == q - 1:
+                    break
+            exp = np.array(exp, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
             table = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                table[a] = self.scale(a, codes)
+            table[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
             self._mul_table = table
-            inv_t = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                inv_t[a] = int(np.nonzero(table[a] == 1)[0][0])
-            self._inv_table = inv_t
+            self._inv_table = np.zeros(q, dtype=np.int64)
+            self._inv_table[1:] = exp[-log[1:] % (q - 1)]
         return self._mul_table
 
     @property

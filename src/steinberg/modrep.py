@@ -40,7 +40,6 @@ from .meataxe import (
     composition_factors,
     head_of,
     hom_space,
-    is_irreducible,
     multiplicity_of,
     spin,
     submodule_module,
@@ -198,17 +197,23 @@ class SocleData:
 
 
 def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
-                       seed: int = DEFAULT_SEED) -> SocleData:
+                       factors) -> SocleData:
     """Socle of a Steinberg module of G, generated by the unipotent average.
 
-    `steinberg` is steinberg_module(G, ell, d) for this G; the socle is
-    spun inside its flag module, over its coefficient field.  Verifies that
-    the generated submodule is irreducible and that the unipotent fixed
-    space of the Steinberg module is one-dimensional, so the socle is
-    simple and found in full; the generator and the fixed space are read
-    from the Bruhat cells (_unipotent_average, _unipotent_fixed_rows).
-    Raises ModRepError when the unipotent average vanishes or either check
-    fails.
+    `steinberg` is steinberg_module(G, ell, d) for this G and `factors` is
+    composition_factors(steinberg.module, seed).  The socle is spun inside
+    the flag module, over its coefficient field; the generator and the
+    unipotent fixed space of the Steinberg module are read from the Bruhat
+    cells (_unipotent_average, _unipotent_fixed_rows).
+
+    No second Norton test is needed.  Every simple submodule of the flag
+    module has nonzero U-fixed vectors (ell does not divide |U|), so a
+    one-dimensional fixed space leaves the Steinberg module one simple
+    submodule, contained in every nonzero submodule.  factors[0] is that
+    submodule, since the factor list descends into submodules first.  So
+    the spun submodule is simple exactly when it has dimension
+    factors[0].dim, and it is then factors[0].module.  Raises ModRepError
+    when the unipotent average vanishes or either check fails.
     """
     M = steinberg.parent
     if M.dim != G.index:
@@ -220,20 +225,17 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
     if not v.any():
         raise ModRepError("the unipotent average of the alternating vector "
                           "vanished; no socle generator")
-    basis = spin(M, v)
-    Y = submodule_module(
-        M, basis, label=f"Steinberg socle of {G!r} over GF({F.order})")
-    verdict, _ = is_irreducible(Y, seed)
-    if not verdict:
-        raise ModRepError("the submodule generated by the unipotent average "
-                          "is not irreducible")
     fix_dim = _unipotent_fixed_rows(G, F, steinberg.basis).shape[0]
     if fix_dim != 1:
         raise ModRepError(
             f"unipotent fixed space of the Steinberg module has dimension "
             f"{fix_dim}, expected 1")
-    return SocleData(steinberg=steinberg, vector=v, basis=basis, module=Y,
-                     fix_dim=fix_dim)
+    basis = spin(M, v)
+    if basis.shape[0] != factors[0].dim:
+        raise ModRepError("the submodule generated by the unipotent average "
+                          "is not irreducible")
+    return SocleData(steinberg=steinberg, vector=v, basis=basis,
+                     module=factors[0].module, fix_dim=fix_dim)
 
 
 def _unipotent_average(G: GLGroup, F: FiniteField) -> np.ndarray:

@@ -88,7 +88,9 @@ def series_data(n, q, ell):
 def socle_data(n, q, ell):
     key = (n, q, ell)
     if key not in _socles:
-        _socles[key] = socle_of_steinberg(group(n, q), st_data(n, q, ell))
+        _, factors = series_data(n, q, ell)
+        _socles[key] = socle_of_steinberg(group(n, q), st_data(n, q, ell),
+                                          factors)
     return _socles[key]
 
 

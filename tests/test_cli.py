@@ -109,7 +109,7 @@ def test_verify_rejects_equal_characteristic(capsys):
 
 
 def _socle_raising(exc):
-    def socle_of_steinberg(G, steinberg, seed):
+    def socle_of_steinberg(G, steinberg, factors):
         raise exc
     return socle_of_steinberg
 

@@ -28,10 +28,6 @@ def test_orders():
     assert build_weyl("A", 3).order == 24
     assert build_weyl("B", 2).order == 8
     assert build_weyl("B", 3).order == 48
-    assert build_weyl("D", 3).order == 24
-    assert build_weyl("D", 4).order == 192
-    assert build_weyl("I2", 8).order == 16
-    assert build_weyl("I2", 7).order == 14
 
 
 def test_bad_parameters():
@@ -39,8 +35,6 @@ def test_bad_parameters():
         build_weyl("A", 0)
     with pytest.raises(CoxeterError):
         build_weyl("E", 6)
-    with pytest.raises(CoxeterError):
-        build_weyl("I2", 1)
 
 
 def test_poincare_polynomials():
@@ -49,10 +43,6 @@ def test_poincare_polynomials():
     assert build_weyl("A", 3).poincare_polynomial() == poly_product(gauss(2), gauss(3), gauss(4))
     assert build_weyl("B", 2).poincare_polynomial() == poly_product(gauss(2), gauss(4))
     assert build_weyl("B", 3).poincare_polynomial() == poly_product(gauss(2), gauss(4), gauss(6))
-    assert build_weyl("D", 4).poincare_polynomial() == poly_product(
-        gauss(2), gauss(4), gauss(4), gauss(6))
-    for m in (5, 6, 8):
-        assert build_weyl("I2", m).poincare_polynomial() == poly_product(gauss(2), gauss(m))
 
 
 def test_type_a_matches_symmetric_group():
@@ -66,7 +56,7 @@ def test_type_a_matches_symmetric_group():
 
 
 def test_inverse_and_identity():
-    for args in (("A", 3), ("B", 2), ("D", 3), ("I2", 6)):
+    for args in (("A", 3), ("B", 2)):
         W = build_weyl(*args)
         for i in range(W.order):
             assert W.multiply(i, W.inverse(i)) == W.identity
@@ -75,7 +65,7 @@ def test_inverse_and_identity():
 
 def test_length_parity_and_subadditivity():
     rng = np.random.default_rng(2)
-    for args in (("A", 3), ("B", 3), ("I2", 7)):
+    for args in (("A", 3), ("B", 3)):
         W = build_weyl(*args)
         for _ in range(150):
             i, j = (int(x) for x in rng.integers(0, W.order, 2))
@@ -85,15 +75,14 @@ def test_length_parity_and_subadditivity():
 
 
 def test_inversion_length_matches_bfs():
-    for args in (("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4),
-                 ("I2", 5), ("I2", 8)):
+    for args in (("A", 3), ("B", 2), ("B", 3)):
         W = build_weyl(*args)
         for i, x in enumerate(W.elements):
             assert W.inversion_length(x) == W.length(i), (args, x)
 
 
 def test_reduced_words():
-    for args in (("A", 3), ("B", 3), ("I2", 8)):
+    for args in (("A", 3), ("B", 3)):
         W = build_weyl(*args)
         for i in range(W.order):
             word = W.reduced_word(i)
@@ -116,7 +105,7 @@ def test_longest_element():
 
 
 def test_w0_central_types_fix_generators():
-    for args in (("A", 1), ("B", 2), ("B", 3), ("I2", 6), ("I2", 8)):
+    for args in (("A", 1), ("B", 2), ("B", 3)):
         W = build_weyl(*args)
         w0 = W.longest_element()
         for s in range(W.rank):
@@ -125,7 +114,7 @@ def test_w0_central_types_fix_generators():
 
 
 def test_coxeter_matrix_orders():
-    for args in (("A", 3), ("B", 3), ("D", 4), ("I2", 5)):
+    for args in (("A", 3), ("B", 3)):
         W = build_weyl(*args)
         for s in range(W.rank):
             for t in range(W.rank):
@@ -167,9 +156,9 @@ def test_parabolic_elements():
 
 
 def test_summary_shape():
-    W = build_weyl("I2", 8)
+    W = build_weyl("B", 2)
     s = W.summary()
-    assert s["type"] == "I2(8)"
-    assert s["order"] == 16
+    assert s["type"] == "B"
+    assert s["order"] == 8
     assert s["length_distribution"][0] == 1
-    assert sum(s["length_distribution"]) == 16
+    assert sum(s["length_distribution"]) == 8

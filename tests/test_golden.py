@@ -1,7 +1,8 @@
 """Verify output on the acceptance matrix, byte for byte against the
-recorded golden JSON (`perfbench/golden.json`, read only), and equal to it
-at other seeds once the reported seed is set back: no other field may
-depend on which Norton witnesses a seed finds."""
+recorded golden JSON (`perfbench/golden.json`, read only), also with the
+Bruhat decomposition switched off, and equal to it at other seeds once the
+reported seed is set back: no other field may depend on which Norton
+witnesses a seed finds."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from steinberg import cli
+from steinberg.bngroup import GLGroup
 from steinberg.meataxe import DEFAULT_SEED
 
 GOLDEN = json.loads(
@@ -32,6 +34,18 @@ def verify_stdout(n, q, ell, seed):
 
 @pytest.mark.parametrize("n,q,ell", MATRIX)
 def test_verify_json_matches_golden(n, q, ell):
+    assert (verify_stdout(n, q, ell, DEFAULT_SEED)
+            == GOLDEN[f"verify {n} {q} {ell}"])
+
+
+@pytest.mark.parametrize("n,q,ell", MATRIX)
+def test_verify_needs_no_bruhat_decomposition(n, q, ell, monkeypatch):
+    # flags, their action and the cell table come from canonical flags alone
+    def refuse(self, g):
+        raise AssertionError("verify called a Bruhat decomposition")
+
+    monkeypatch.setattr(GLGroup, "weyl_of", refuse)
+    monkeypatch.setattr(GLGroup, "bruhat", refuse)
     assert (verify_stdout(n, q, ell, DEFAULT_SEED)
             == GOLDEN[f"verify {n} {q} {ell}"])
 

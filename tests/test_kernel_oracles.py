@@ -16,7 +16,12 @@ its entries in a scalar double loop, permutation modules were spun,
 restricted and fixed through their dense permutation matrices, and the
 eigenspace of the Hecke operators came from their dense matrices, and
 `mat_mul` multiplied int64 arrays (digit by digit over extension fields)
-with no float64 path.  Every
+with no float64 path, the multiplication table of a small extension field
+was built one scaled row at a time, `canonical_flag` canonicalized one
+flag at a time, the flag and G/P orbits moved one coset by one generator
+at a time, `coset_permutation` on G/B composed memoized permutations of
+the Bruhat factors of g, and the G/P action keyed one representative at a
+time from row-reduced bases of its prefix column spans.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -31,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinberg import gf, polynomials as poly
-from steinberg.bngroup import build_gl
+from steinberg.bngroup import GroupError, build_gl
 from steinberg.caps import (
     MAX_DENSE_DIM,
     MAX_FIELD_SIZE,
@@ -389,6 +394,130 @@ def is_irreducible_oracle(M, seed):
     return None
 
 
+def canonical_flag_oracle(G, g):
+    """One flag at a time: clear earlier pivot rows, scale the bottom-most
+    nonzero entry of each column to 1."""
+    F = G.field
+    A = np.array(g, dtype=np.int64, copy=True)
+    pivot_rows = []
+    for j in range(G.n):
+        for jj, r in enumerate(pivot_rows):
+            c = int(A[r, j])
+            if c:
+                A[:, j] = F.mat_sub(A[:, j:j + 1],
+                                    F.scale(c, A[:, jj:jj + 1]))[:, 0]
+        nz = np.nonzero(A[:, j])[0]
+        if len(nz) == 0:
+            raise GroupError("singular matrix does not define a flag")
+        r = int(nz[-1])
+        c = int(A[r, j])
+        if c != 1:
+            A[:, j] = F.scale(F.inv(c), A[:, j:j + 1])[:, 0]
+        pivot_rows.append(r)
+    return A
+
+
+def coset_key_oracle(P, g):
+    """Key of gP from the row-reduced bases of the prefix column spans."""
+    F = P.group.field
+    parts = []
+    for m in P.cutpoints:
+        basis = row_basis(F, np.asarray(g)[:, :m].T)
+        if basis.shape[0] != m:
+            raise GroupError("singular matrix does not define a coset")
+        parts.append(basis.tobytes())
+    return b"|".join(parts)
+
+
+def orbit_cosets_oracle(F, generators, start, canon):
+    """The breadth-first orbit one coset and one generator at a time;
+    canon(g) returns (representative, key)."""
+    rep, key = canon(start)
+    reps, index = [rep], {key: 0}
+    parent, parent_gen = [-1], [-1]
+    images = [[] for _ in generators]
+    i = 0
+    while i < len(reps):
+        for k, gen in enumerate(generators):
+            rep, key = canon(F.mat_mul(gen, reps[i]))
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(reps)
+                reps.append(rep)
+                parent.append(i)
+                parent_gen.append(k)
+            images[k].append(j)
+        i += 1
+    return {"reps": reps, "index": index, "size": len(reps),
+            "parent": parent, "parent_gen": parent_gen, "gen_perms": images}
+
+
+def flag_cosets_oracle(G):
+    def canon(g):
+        flag = canonical_flag_oracle(G, g)
+        return flag, flag.tobytes()
+    return orbit_cosets_oracle(G.field, G.generators, G.identity_element(),
+                               canon)
+
+
+def cell_table_oracle(G, cosets):
+    """Row 0 from the Bruhat cells of the reps, the rest propagated."""
+    size = cosets["size"]
+    table = np.empty((size, size), dtype=np.int64)
+    table[0] = [G.weyl_of(rep) for rep in cosets["reps"]]
+    inv_perms = np.argsort(np.array(cosets["gen_perms"]), axis=1)
+    for c in range(1, size):
+        table[c] = table[cosets["parent"][c]][
+            inv_perms[cosets["parent_gen"][c]]]
+    return table
+
+
+def bruhat_permutation_oracle(G, cosets, memo, g):
+    """g = h * u_b * n_w * u acting on the flags as the composition of
+    memoized permutations of root elements, single-entry torus elements
+    and n_w, each found by canonicalizing every flag."""
+    F = G.field
+
+    def factor(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = np.array(
+                [cosets["index"][canonical_flag_oracle(
+                    G, F.mat_mul(x, rep)).tobytes()]
+                 for rep in cosets["reps"]], dtype=np.int64)
+        return memo[key]
+
+    def entry(a, b, c):
+        x = F.identity(G.n)
+        x[a, b] = c
+        return factor(x)
+
+    def unipotent(u, out):
+        for b in range(1, G.n):
+            for a in range(b):
+                if int(u[a, b]):
+                    out = entry(a, b, int(u[a, b]))[out]
+        return out
+
+    b, w, u = G.bruhat(g)
+    h = [int(c) for c in np.diagonal(b)]
+    u_b = F.mat_mul(G.torus_element([F.inv(c) for c in h]), b)
+    out = unipotent(u, np.arange(cosets["size"]))
+    out = factor(G.weyl_rep(w))[out]
+    out = unipotent(u_b, out)
+    for i, c in enumerate(h):
+        if c != 1:
+            out = entry(i, i, c)[out]
+    return out
+
+
+def parabolic_permutation_oracle(P, cosets, g):
+    """G/P permutation by keying g * rep for one rep at a time."""
+    F = P.group.field
+    return np.array([cosets["index"][coset_key_oracle(P, F.mat_mul(g, rep))]
+                     for rep in cosets["reps"]], dtype=np.int64)
+
+
 # -- strategies --------------------------------------------------------------
 
 
@@ -613,6 +742,19 @@ def test_mat_mul_matches_integer_products(F):
         assert np.array_equal(C, mat_mul_oracle(F, A, B))
         # a non-contiguous factor multiplies like its copy
         assert np.array_equal(F.mat_mul(B.T, A.T), C.T)
+
+
+@pytest.mark.parametrize("F", (field(2, 2), field(3, 2), field(2, 4),
+                               field(5, 2), field(2, 10)), ids=repr)
+def test_multiplication_tables_match_scaled_rows(F):
+    # GF(9)'s modulus is x^2 + 1, so x is not primitive there
+    codes = np.arange(F.order, dtype=np.int64)
+    table = F._tables()
+    rows = codes if F.order <= 256 else codes[::97]
+    for a in rows:
+        assert np.array_equal(table[a], F.scale(int(a), codes))
+    assert np.array_equal(
+        table[codes[1:], F._inv_table[1:]], np.ones(F.order - 1))
 
 
 @pytest.mark.parametrize("F", (field(2), field(3), field(1048573)), ids=repr)
@@ -843,3 +985,73 @@ def test_sign_eigenspace_matches_dense_operator_fixed_points(case):
                for s in range(G.weyl.rank)]
     assert np.array_equal(sign_eigenspace(G, ell),
                           fixed_points(F, negated, G.index))
+
+
+# -- the flag action against the per-flag and Bruhat-composed routes ----------
+
+FLAG_GROUPS = ((2, 2), (2, 4), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2))
+
+
+def _random_invertibles(G, seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        g = G.field.random_matrix(rng, (G.n, G.n))
+        if G.is_invertible(g):
+            out.append(g)
+    return out
+
+
+def _assert_same_cosets(cs, old):
+    assert cs.size == old["size"]
+    assert cs.reps.shape[0] == cs.size
+    for rep, old_rep in zip(cs.reps, old["reps"], strict=True):
+        assert np.array_equal(rep, old_rep)
+    assert np.array_equal(cs.parent, old["parent"])
+    assert np.array_equal(cs.parent_gen, old["parent_gen"])
+    assert np.array_equal(cs.gen_perms, np.array(old["gen_perms"]))
+
+
+@pytest.mark.parametrize("n, q", FLAG_GROUPS, ids=str)
+def test_flag_orbit_and_action_match_the_old_routes(n, q):
+    G = build_gl(n, q)
+    old = flag_cosets_oracle(G)
+    _assert_same_cosets(G.cosets, old)
+    assert G.cosets.index == old["index"]
+    assert np.array_equal(G.cell_table, cell_table_oracle(G, old))
+
+    randoms = _random_invertibles(G, 41, 12)
+    stack = np.array(randoms)
+    assert np.array_equal(G.canonical_flag(stack),
+                          [canonical_flag_oracle(G, g) for g in randoms])
+    singular = stack.copy()
+    singular[3, :, 1] = 0
+    with pytest.raises(GroupError):
+        G.canonical_flag(singular)
+
+    memo = {}
+    samples = (G.unipotent_elements()
+               + [G.weyl_rep(w) for w in range(G.weyl.order)]
+               + list(G.generators) + randoms)
+    for g in samples:
+        assert np.array_equal(G.coset_permutation(g),
+                              bruhat_permutation_oracle(G, old, memo, g))
+
+
+@pytest.mark.parametrize("n, q", FLAG_GROUPS, ids=str)
+def test_partial_flag_orbit_and_action_match_the_per_rep_loop(n, q):
+    G = build_gl(n, q)
+    samples = (list(G.generators)
+               + [G.weyl_rep(G.weyl.longest_element())]
+               + _random_invertibles(G, 43, 4))
+    for comp in compositions(n):
+        P = G.parabolic(comp)
+        old = orbit_cosets_oracle(G.field, G.generators, G.identity_element(),
+                                  lambda g: (g, coset_key_oracle(P, g)))
+        cs = P.cosets
+        _assert_same_cosets(cs, old)
+        assert [cs.index[P.coset_key(rep)] for rep in cs.reps] == list(
+            range(cs.size))
+        for g in samples:
+            assert np.array_equal(P.coset_permutation(g),
+                                  parabolic_permutation_oracle(P, old, g))

@@ -89,8 +89,8 @@ def st_data(n, q, ell):
 
 def socle_data(n, q, ell):
     if (n, q, ell) not in _socles:
-        _socles[(n, q, ell)] = socle_of_steinberg(group(n, q),
-                                                  st_data(n, q, ell))
+        _socles[(n, q, ell)] = socle_of_steinberg(
+            group(n, q), st_data(n, q, ell), st_factors(n, q, ell))
     return _socles[(n, q, ell)]
 
 
@@ -291,14 +291,14 @@ def test_cell_socle_generator_matches_the_unipotent_elements(n, q, ell):
     G = group(n, q)
     data = st_data(n, q, ell)
     F = data.parent.field
-    v = socle_of_steinberg(G, data).vector
+    v = socle_of_steinberg(G, data, st_factors(n, q, ell)).vector
     assert v.any()
     assert np.array_equal(v, _unipotent_average_by_elements(G, F, data.vector))
 
 
 def test_socle_refuses_steinberg_data_of_another_group():
     with pytest.raises(ModRepError, match="flags"):
-        socle_of_steinberg(group(2, 3), st_data(2, 2, 5))
+        socle_of_steinberg(group(2, 3), st_data(2, 2, 5), st_factors(2, 2, 5))
 
 
 def test_trivial_socle_iff_q_is_minus_one():
