@@ -9,7 +9,7 @@ parameter-inverting involution exchange them over a finite field.
 
 from steinberg.bngroup import build_gl
 from steinberg.gf import field
-from steinberg.hecke import FieldCoefficients, hecke_for_group
+from steinberg.hecke import hecke_for_group
 
 G = build_gl(3, 2)
 H = hecke_for_group(G)  # integer coefficients, both parameters equal to q
@@ -43,7 +43,7 @@ print()
 # over GF(7) the parameter is invertible, so the involution
 #   T_s -> (q-1) T_1 - T_s
 # is defined; it swaps the two characters on every basis element
-HF = hecke_for_group(G, FieldCoefficients(field(7)))
+HF = hecke_for_group(G, field(7))
 print("over GF(7), eps(gamma(T_w)) against ind(T_w) for every w:")
 for w in range(W.order):
     t_w = HF.basis(w)

@@ -9,7 +9,8 @@ most the flag count) and MAX_FLAG_COUNT, and at least MAX_REGULAR_ORDER.
 # order of a coefficient or defining field GF(p^k)
 MAX_FIELD_SIZE = 1 << 20
 # largest side of a matrix that exact elimination accepts; also the largest
-# flag count verify and hecke-check admit and the largest hom-space solve
+# flag count verify and hecke-check admit, the largest hom-space solve and
+# the widest factor-isomorphism spin
 MAX_DENSE_DIM = 2048
 # largest flag count |G/B| for which GL_n(q) is constructed at all
 MAX_FLAG_COUNT = 5000
@@ -19,5 +20,5 @@ MAX_UNIPOTENT = 4096
 MAX_REGULAR_ORDER = 512
 # largest Coxeter group enumerated
 MAX_GROUP_ORDER = 1_000_000
-# seeded algebra elements the Norton test and isomorphism search try
+# seeded algebra elements per Norton test, certificate or isomorphism search
 MAX_NORTON_TRIES = 40

@@ -8,8 +8,8 @@ parameter per simple reflection: basis T_w, the defining left rule
 
 two one-dimensional characters (the sign character T_w -> (-1)^l(w) and the
 index character T_s -> q_s), the involution exchanging them, and the
-symmetrizing trace picking out the identity coefficient.  Coefficients are
-pluggable: big integers or any finite field.
+symmetrizing trace picking out the identity coefficient.  The coefficient
+ring is `IntegerCoefficients` (big integers) or a `FiniteField` itself.
 
 The realized side acts on the flag permutation basis of a concrete group:
 the operator of T_w sends a coset x to the sum of the cosets y for which
@@ -43,7 +43,6 @@ from .meataxe import fixed_points
 __all__ = [
     "HeckeError",
     "IntegerCoefficients",
-    "FieldCoefficients",
     "HeckeElement",
     "HeckeAlgebra",
     "hecke_for_group",
@@ -82,11 +81,8 @@ class IntegerCoefficients:
     def from_int(self, n):
         return n
 
-    def invertible(self, a):
-        return a in (1, -1)
-
     def inv(self, a):
-        if not self.invertible(a):
+        if a not in (1, -1):
             raise HeckeError(f"{a} is not invertible over the integers")
         return a
 
@@ -95,45 +91,6 @@ class IntegerCoefficients:
 
     def __hash__(self):
         return hash("ZZ")
-
-
-class FieldCoefficients:
-    """Finite-field coefficient ring wrapping a FiniteField."""
-
-    def __init__(self, F: FiniteField):
-        self.F = F
-        self.name = f"GF({F.order})"
-        self.zero = F.zero
-        self.one = F.one
-
-    def add(self, a, b):
-        return self.F.add(a, b)
-
-    def sub(self, a, b):
-        return self.F.sub(a, b)
-
-    def mul(self, a, b):
-        return self.F.mul(a, b)
-
-    def neg(self, a):
-        return self.F.neg(a)
-
-    def from_int(self, n):
-        return self.F.from_int(n)
-
-    def invertible(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise HeckeError("0 is not invertible")
-        return self.F.inv(a)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldCoefficients) and self.F == other.F
-
-    def __hash__(self):
-        return hash(("GF", self.F.order))
 
 
 class HeckeElement:
@@ -205,7 +162,8 @@ class HeckeElement:
 
 
 class HeckeAlgebra:
-    """Hecke algebra of a finite Coxeter group over a coefficient ring."""
+    """Hecke algebra of a finite Coxeter group over a coefficient ring:
+    `IntegerCoefficients` or a `FiniteField`."""
 
     def __init__(self, weyl: CoxeterGroup, ring, params):
         self.weyl = weyl
@@ -313,9 +271,12 @@ class HeckeAlgebra:
         -q_s * T_s^{-1}, even though the expanded form clears denominators.
         """
         for s, q_s in enumerate(self.params):
-            if not self.ring.invertible(q_s):
+            try:
+                self.ring.inv(q_s)
+            except (ZeroDivisionError, HeckeError):
                 raise HeckeError(
-                    f"parameter {q_s} for generator {s} is not invertible")
+                    f"parameter {q_s} for generator {s} is not invertible"
+                ) from None
         total = self.zero_element()
         for w, c in x.coeffs.items():
             term = self.one()

@@ -4,7 +4,7 @@ Works on matrix modules: a module is a list of invertible action matrices
 over GF(p^k), one per generator of whatever algebra or group is acting.
 Provides spinning (smallest invariant subspace containing given vectors),
 a seeded Norton-style irreducibility test with explicit witnesses,
-recursive composition factors with seed-independent fingerprints, sub-,
+recursive composition factors with an isomorphism test between them, sub-,
 quotient- and dual modules, homomorphism spaces and fixed points.
 
 The Norton test (Parker 1984; Holt & Rees 1994) tries only the actual
@@ -13,7 +13,9 @@ algebra element, lowest degree first, as `polynomials.irreducible_factors`
 yields them, and evaluates each with `polynomials.evaluate_matrix`; this
 module does no polynomial arithmetic of its own.  A factor of multiplicity
 one always certifies, so every sample with such a factor gets a verdict.
-Two factors with equal matrices are the same factor without a hom space.
+Sampled elements are recorded words, so a simple factor's certificate (a
+word theta and a factor f with kernel of dimension deg f) replays on
+another factor; one spin in A + B^m and a small solve decide isomorphism.
 
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
@@ -25,9 +27,7 @@ column gather, and `fixed_points` also takes any row map, such as the
 gather-sum of a Hecke operator.  Hom spaces and fixed points cut their
 solution space down one generator at a time (Holt & Rees 1994), so no
 system is wider than the space of candidate maps or taller than the
-module.  Fingerprints are
-computed on demand: factors of different dimensions are told apart without
-any characteristic polynomial.
+module.
 
 Vectors are rows; a matrix A acts on the column vector v as A @ v, so the
 row form of the action is v -> v @ A.T.  All subspaces are returned as
@@ -81,7 +81,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 214003
-FINGERPRINT_SEED = 977351
 
 
 class MeatAxeError(ValueError):
@@ -288,28 +287,42 @@ def dual_module(M: GModule, label="") -> GModule:
 # -- seeded algebra sampling -------------------------------------------------
 
 
-def algebra_element(M: GModule, rng) -> np.ndarray:
-    """Short random combination of words in the action matrices."""
+def _random_word(M: GModule, rng) -> tuple:
+    """A short random algebra element, recorded as a word: a tuple of
+    (coefficient, generator indices) terms, one product per term."""
+    gens = len(M._gens)
+    word = []
+    for _ in range(int(rng.integers(2, 5))):
+        letters = tuple(int(rng.integers(gens))
+                        for _ in range(int(rng.integers(1, 4))) if gens)
+        word.append((1 + int(rng.integers(M.field.order - 1)), letters))
+    return tuple(word)
+
+
+def _evaluate(M: GModule, word) -> np.ndarray:
+    """The matrix of a recorded word on M: sum of c * A_i1 @ A_i2 @ ..."""
     F = M.field
     A = np.zeros((M.dim, M.dim), dtype=np.int64)
-    terms = int(rng.integers(2, 5))
-    for _ in range(terms):
+    for c, letters in word:
         term = F.identity(M.dim)
-        for _ in range(int(rng.integers(1, 4))):
-            if M.mats:
-                term = F.mat_mul(term, M.mats[int(rng.integers(len(M.mats)))])
-        c = 1 + int(rng.integers(F.order - 1))
+        for i in letters:
+            term = F.mat_mul(term, M.mats[i])
         A = F.mat_add(A, F.scale(c, term))
     return A
 
 
+def algebra_element(M: GModule, rng) -> np.ndarray:
+    """Short random combination of words in the action matrices."""
+    return _evaluate(M, _random_word(M, rng))
+
+
 def _factor_candidates(F: FiniteField, theta: np.ndarray):
-    """Yield (f(theta), deg f, canonical kernel basis of f(theta)) for the
+    """Yield (f, f(theta), canonical kernel basis of f(theta)) for the
     distinct irreducible factors f of the characteristic polynomial of
     theta, lowest degree first."""
     for f in irreducible_factors(F, charpoly(F, theta)):
         fmat = evaluate_matrix(F, f, theta)
-        yield fmat, len(f) - 1, kernel(F, fmat)
+        yield f, fmat, kernel(F, fmat)
 
 
 def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
@@ -339,11 +352,11 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     transposed = [A.T for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
         theta = algebra_element(M, rng)
-        for fmat, deg, null_basis in _factor_candidates(F, theta):
+        for f, fmat, null_basis in _factor_candidates(F, theta):
             sub = _spin_rows(F, M._gens, M.dim, null_basis[0])
             if sub.shape[0] < M.dim:
                 return False, sub
-            if null_basis.shape[0] != deg:
+            if null_basis.shape[0] != len(f) - 1:
                 continue  # spin is full but the factor cannot certify
             w = kernel(F, fmat.T.copy())[0]
             dual_sub = _spin_rows(F, transposed, M.dim, w)
@@ -355,64 +368,37 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
         f"no irreducibility verdict within {MAX_NORTON_TRIES} attempts")
 
 
-# -- composition factors and fingerprints -----------------------------------
+# -- composition factors and their identity -------------------------------
 
 
 @dataclass(eq=False)
 class CompositionFactor:
-    """A factor with its seed-independent identity data.
+    """A simple factor, identified up to isomorphism by `same_factor`.
 
-    The identifying data is the dimension plus the sorted characteristic
-    polynomials of a fixed sample of algebra elements built from a frozen
-    word table -- the same table for every module over the same generator
-    list, so equal data on simple factors means a hom-space check can
-    settle isomorphism.  The polynomials are computed on first access and
-    cached: a comparison of factors of different dimensions never needs
-    them.
+    `certificate` is (word, f, x): a recorded algebra element theta, an
+    irreducible factor f of its characteristic polynomial whose kernel
+    f(theta) has dimension deg f, and the first vector x of that kernel.
+    It is searched for with the default seed, without spinning, since the
+    module is already known to be simple, and only when a comparison needs
+    it: factors of different dimensions never do.
     """
 
     dim: int
     module: GModule = dc_field(repr=False)
 
     @functools.cached_property
-    def charpolys(self) -> tuple:
+    def certificate(self) -> tuple:
         M = self.module
-        return tuple(sorted(tuple(charpoly(M.field, A))
-                            for A in _fingerprint_samples(M)))
-
-    @property
-    def fingerprint(self):
-        return (self.dim, self.charpolys)
-
-
-def _fingerprint_recipes():
-    rng = np.random.default_rng(FINGERPRINT_SEED)
-    recipes = []
-    for _ in range(6):
-        terms = []
-        for _ in range(3):
-            word = [int(rng.integers(1 << 30)) for _ in range(
-                int(rng.integers(1, 4)))]
-            terms.append((int(rng.integers(1 << 30)), word))
-        recipes.append(terms)
-    return recipes
-
-
-_FP_RECIPES = _fingerprint_recipes()
-
-
-def _fingerprint_samples(M: GModule):
-    F = M.field
-    for terms in _FP_RECIPES:
-        A = np.zeros((M.dim, M.dim), dtype=np.int64)
-        for cseed, word in terms:
-            term = F.identity(M.dim)
-            if M.mats:
-                for letter in word:
-                    term = F.mat_mul(term, M.mats[letter % len(M.mats)])
-            c = 1 + cseed % (F.order - 1)
-            A = F.mat_add(A, F.scale(c, term))
-        yield A
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for _ in range(MAX_NORTON_TRIES):
+            word = _random_word(M, rng)
+            for f, _, null_basis in _factor_candidates(
+                    M.field, _evaluate(M, word)):
+                if null_basis.shape[0] == len(f) - 1:
+                    return word, f, null_basis[0]
+        raise MeatAxeError(
+            f"no certificate for a simple factor within {MAX_NORTON_TRIES} "
+            "attempts")
 
 
 def factor_of(M: GModule) -> CompositionFactor:
@@ -461,17 +447,55 @@ def composition_series(M: GModule, seed: int = DEFAULT_SEED):
 
 
 def same_factor(a: CompositionFactor, b: CompositionFactor) -> bool:
-    """Identity of simple factors: dimension, equal matrices (the identity
-    is then an isomorphism), fingerprints, then a hom space."""
+    """Whether two simple factors are isomorphic.
+
+    Dimensions, then equal matrices; different 1-dimensional actions differ.
+    Otherwise a's certificate (theta, f, x) is replayed on B, where the
+    kernel N = (n_1..n_m) of f(theta) must have m = deg f.  Spinning
+    (x, n_1, ..., n_m) in A + B^m gives every (t x, t n_1, ..., t n_m), and
+    x -> sum c_i n_i extends to a map, an isomorphism, exactly when
+    sum c_i t n_i = 0 on every row with t x = 0.
+    """
     if a.dim != b.dim:
         return False
     A, B = a.module, b.module
-    if (A.field == B.field and len(A.mats) == len(B.mats)
-            and all(np.array_equal(x, y) for x, y in zip(A.mats, B.mats))):
+    F = A.field
+    if B.field != F:
+        raise MeatAxeError("modules live over different fields")
+    if len(A._gens) != len(B._gens):
+        raise MeatAxeError("modules have different generator lists")
+    if all(np.array_equal(x, y) for x, y in zip(A.mats, B.mats)):
         return True
-    if a.charpolys != b.charpolys:
+    if a.dim == 1:
         return False
-    return len(hom_space(A, B)) > 0
+    word, f, x = a.certificate
+    null_b = kernel(F, evaluate_matrix(F, f, _evaluate(B, word)))
+    d, m = a.dim, null_b.shape[0]
+    if m != len(f) - 1:
+        return False
+    if (m + 1) * d > MAX_DENSE_DIM:
+        raise ModuleCapError(
+            f"isomorphism spin of width {(m + 1) * d} exceeds cap "
+            f"{MAX_DENSE_DIM}")
+
+    def block(ga, gb):  # A's action on the first block, B's on the others
+        return lambda rows: np.hstack([
+            _image(F, ga, rows[:, :d]),
+            _image(F, gb, rows[:, d:].reshape(-1, d)).reshape(len(rows), -1)])
+
+    seed = np.concatenate([x, null_b.reshape(-1)])
+    span = _spin_rows(F, [block(ga, gb) for ga, gb in zip(A._gens, B._gens)],
+                      (m + 1) * d, seed)
+    killed = span[~span[:, :d].any(axis=1), d:]
+    # row r of the system for c is coordinate r % d of one row's t n_i
+    system = killed.reshape(-1, m, d).transpose(0, 2, 1).reshape(-1, m)
+    found = system[:0]
+    step = MAX_DENSE_DIM - m
+    for start in range(0, len(system), step):
+        found = row_basis(F, np.vstack([found, system[start:start + step]]))
+        if len(found) == m:
+            return False
+    return True
 
 
 def factor_multiplicities(factors):
@@ -479,7 +503,7 @@ def factor_multiplicities(factors):
     out = []
     for f in factors:
         for i, (g, _) in enumerate(out):
-            if same_factor(f, g):
+            if same_factor(g, f):
                 out[i] = (g, out[i][1] + 1)
                 break
         else:

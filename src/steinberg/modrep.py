@@ -384,7 +384,8 @@ def hc_induce(G: GLGroup, composition, X: GModule) -> GModule:
     restriction).  The basis is indexed by (coset, module basis vector)
     pairs with the module index varying fastest; an element g sends the
     block of coset j to the block of coset i where g * rep_j = rep_i * p,
-    acting inside the block through p.
+    acting inside the block through p.  The cosets i of all g * rep_j come
+    from one stacked canonicalization, and p = rep_i^-1 * g * rep_j.
     """
     if X.perm_of is None:
         raise ModRepError("induction needs a Levi permutation module")
@@ -397,11 +398,14 @@ def hc_induce(G: GLGroup, composition, X: GModule) -> GModule:
             f"induced module of dimension {total} exceeds cap "
             f"{MAX_DENSE_DIM}")
     Fq = G.field
+    rep_inverses = [inverse(Fq, rep) for rep in reps]
 
     def perm_of(g):
         out = np.empty(total, dtype=np.int64)
-        for j, rep in enumerate(reps):
-            i, p = P.decompose(Fq.mat_mul(g, rep))
+        for j, i in enumerate(P.coset_permutation(g)):
+            p = Fq.mat_mul(Fq.mat_mul(rep_inverses[i], g), reps[j])
+            if not P.is_member(p):
+                raise ModRepError("internal error: parabolic factor not in P")
             out[j * width:(j + 1) * width] = i * width + X.perm_of(p)
         return out
 

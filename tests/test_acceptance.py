@@ -28,7 +28,6 @@ from steinberg.combinat import (
 )
 from steinberg.gf import field
 from steinberg.hecke import (
-    FieldCoefficients,
     act_on_borel_module,
     alternating_sum_vector,
     borel_matrices_int,
@@ -391,7 +390,7 @@ def test_criterion_12_hecke_identities():
                     failures.append(f"GL{n}({q}): trace not symmetric")
     for n, q, ell in MATRIX:
         G = group(n, q)
-        HF = hecke_for_group(G, FieldCoefficients(field(ell)))
+        HF = hecke_for_group(G, field(ell))
         for w in range(G.weyl.order):
             t_w = HF.basis(w)
             image = HF.gamma(t_w)

@@ -222,6 +222,26 @@ def test_verify_irreducible_case_beyond_the_hom_space_cap(capsys):
     assert payload["factors"] == [{"dim": 64, "mult": 1}]
 
 
+@pytest.mark.parametrize("n, q, ell", [
+    (2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5), (3, 2, 3),
+    (3, 2, 7), (3, 3, 2), (3, 3, 13), (3, 5, 2), (4, 2, 3)])
+def test_verify_builds_no_certificate_and_no_hom_space(
+        capsys, monkeypatch, n, q, ell):
+    # dimensions and equal matrices settle every factor comparison verify
+    # makes on the acceptance matrix and the two benchmark ladder rungs
+    def refuse(*args):
+        raise AssertionError("verify left its fast path")
+
+    monkeypatch.setattr(meataxe.CompositionFactor, "certificate",
+                        property(refuse))
+    monkeypatch.setattr(meataxe, "hom_space", refuse)
+    monkeypatch.setattr(modrep, "hom_space", refuse)
+    code, payload = run_json(
+        capsys, "verify", "--n", str(n), "--q", str(q), "--ell", str(ell))
+    assert code == 0
+    assert all(c["pass"] for c in payload["checks"])
+
+
 @pytest.mark.parametrize("command", ["verify", "hecke-check"])
 def test_oversized_group_is_refused_before_any_flag_work(
         capsys, monkeypatch, command):

@@ -9,7 +9,6 @@ from steinberg.bngroup import build_gl
 from steinberg.coxeter import build_weyl
 from steinberg.gf import field, kernel, rank
 from steinberg.hecke import (
-    FieldCoefficients,
     HeckeAlgebra,
     HeckeError,
     IntegerCoefficients,
@@ -159,7 +158,7 @@ def test_unequal_parameters_on_odd_bond_rejected():
 
 def test_involution_swaps_characters_and_squares_to_identity():
     for ell in (5, 7):
-        K = FieldCoefficients(field(ell))
+        K = field(ell)
         W, H = a2(2, ring=K)
         s1 = H.generator(0)
         img = H.gamma(s1)
@@ -179,6 +178,9 @@ def test_involution_needs_invertible_parameters():
     W, H = a2(2)
     with pytest.raises(HeckeError):
         H.gamma(H.one())
+    _, H2 = a2(2, ring=field(2))  # q = 0 in characteristic 2
+    with pytest.raises(HeckeError):
+        H2.gamma(H2.one())
     W1, H1 = a2(1)
     for w in range(W1.order):
         img = H1.gamma(H1.basis(w))
@@ -230,15 +232,13 @@ def test_element_arithmetic_and_guards():
 
 
 def test_integer_scalars_map_through_the_coefficient_ring():
-    K = FieldCoefficients(field(2, 2))
+    K = field(2, 2)
     W, H = a2(3, ring=K)
     x = H.basis(1)
     assert (2 * x) == H.zero_element()
     assert (3 * x) == x
     assert H.params == [K.from_int(3)] * 2  # 3 = 1 in characteristic 2
     assert K.inv(K.one) == K.one
-    with pytest.raises(HeckeError):
-        K.inv(K.zero)
     with pytest.raises(HeckeError):
         ZZ.inv(2)
 
@@ -279,8 +279,7 @@ def test_matrix_relations_over_the_integers():
 def test_realized_action_reverses_abstract_products():
     G = build_gl(3, 2)
     F = field(5)
-    K = FieldCoefficients(F)
-    H = HeckeAlgebra(G.weyl, K, G.q)
+    H = HeckeAlgebra(G.weyl, F, G.q)
     mats = [act_on_borel_module(G, 5, w) for w in range(G.weyl.order)]
     for x in range(G.weyl.order):
         for y in range(G.weyl.order):
@@ -479,7 +478,7 @@ def test_algebra_for_group_uses_group_parameters():
     H = hecke_for_group(G)
     assert isinstance(H.ring, IntegerCoefficients)
     assert H.params == [3]
-    K = FieldCoefficients(field(2))
+    K = field(2)
     H2 = hecke_for_group(G, ring=K)
     assert H2.params == [K.from_int(3)]
     assert H2.check_quadratic() and H2.check_braid()

@@ -62,10 +62,13 @@ from steinberg.meataxe import (
     _restrict,
     _spin_rows,
     algebra_element,
+    composition_factors,
+    factor_of,
     fixed_points,
     hom_space,
     is_irreducible,
     quotient_module,
+    same_factor,
     spin,
     submodule_module,
 )
@@ -1055,3 +1058,101 @@ def test_partial_flag_orbit_and_action_match_the_per_rep_loop(n, q):
         for g in samples:
             assert np.array_equal(P.coset_permutation(g),
                                   parabolic_permutation_oracle(P, old, g))
+
+
+# -- Harish-Chandra induction against the per-coset decomposition ------------
+
+
+def induced_permutation_oracle(P, X, g):
+    """The old `hc_induce` action: g * rep_j = rep_i * p, one coset at a time
+    through `ParabolicSubgroup.decompose`."""
+    width = X.dim
+    out = np.empty(P.cosets.size * width, dtype=np.int64)
+    for j, rep in enumerate(P.cosets.reps):
+        i, p = P.decompose(P.group.field.mat_mul(g, rep))
+        out[j * width:(j + 1) * width] = i * width + X.perm_of(p)
+    return out
+
+
+@pytest.mark.parametrize("n, q, comp", [(3, 2, (2, 1)), (3, 3, (1, 2)),
+                                        (3, 4, (2, 1)), (4, 2, (2, 2))],
+                         ids=str)
+def test_induced_action_matches_per_coset_decomposition(n, q, comp):
+    G = build_gl(n, q)
+    X = levi_borel_module(G, comp, field(3 if q != 3 else 2))
+    ind = hc_induce(G, comp, X)
+    P = G.parabolic(comp)
+    for g in list(G.generators) + _random_invertibles(G, 47, 4):
+        assert np.array_equal(ind.perm_of(g),
+                              induced_permutation_oracle(P, X, g))
+
+
+# -- the factor isomorphism test against hom spaces --------------------------
+#
+# `same_factor` once settled equal-dimension factors by fingerprints and then
+# a hom space; a nonzero module map between simple modules of equal
+# dimension is an isomorphism, so `len(hom_space(A, B)) > 0` is the oracle.
+
+
+def _twists(M):
+    """Simple modules on M's space with the same algebra, so simple too, that
+    need not be isomorphic to M: the first two generators exchanged, and the
+    first generator scaled by each nonzero non-identity scalar."""
+    F, mats = M.field, M.mats
+    out = [GModule(F, [mats[1], mats[0]] + mats[2:], check=False)]
+    for c in range(2, F.order):
+        out.append(GModule(F, [F.scale(c, mats[0])] + mats[1:], check=False))
+    return out
+
+
+def _small_simples():
+    """Simple modules whose endomorphism ring is bigger than the field: C_7
+    over GF(2) on x^3+x+1 and x^3+x^2+1 (End = GF(8)), and x^2+1 over GF(3)
+    (End = GF(9)), with conjugates, powers and second generators."""
+    F2, F3 = field(2), field(3)
+    C = F2.asarray([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    D = F2.asarray([[0, 0, 1], [1, 0, 0], [0, 1, 1]])
+    P = F2.asarray([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    conj = F2.mat_mul(F2.mat_mul(P, C), inverse(F2, P))
+    square = F2.mat_mul(C, C)
+    cube = F2.mat_mul(square, C)
+    J, I = F3.asarray([[0, 2], [1, 0]]), F3.identity(2)
+    over_2 = ([C], [D], [conj], [cube], [square], [C, C], [C, square],
+              [conj, conj], [D, C])
+    over_3 = ([J, I], [F3.mat_neg(J), I], [J, F3.mat_neg(I)], [J, J],
+              [J, F3.mat_neg(J)])
+    return ([GModule(F2, mats) for mats in over_2]
+            + [GModule(F3, mats) for mats in over_3])
+
+
+def _oracle_agrees(a, b):
+    assert same_factor(a, b) == (len(hom_space(a.module, b.module)) > 0)
+
+
+@pytest.mark.parametrize("n, q, ell", [(4, 2, 3), (4, 2, 5), (4, 2, 7),
+                                       (3, 3, 2), (3, 3, 13), (3, 4, 5),
+                                       (3, 4, 7)], ids=str)
+def test_same_factor_matches_hom_space_on_flag_factors(n, q, ell):
+    # every factor of dimension up to 20 against the first of its dimension,
+    # and that first one against its twists
+    first = {}
+    for f in composition_factors(borel_module(build_gl(n, q), ell)):
+        if f.dim > 20:
+            continue
+        if f.dim not in first:
+            first[f.dim] = f
+            for T in _twists(f.module):
+                _oracle_agrees(f, factor_of(T))
+        _oracle_agrees(first[f.dim], f)
+
+
+def test_same_factor_matches_hom_space_when_endomorphisms_exceed_the_field():
+    simples = [factor_of(M) for M in _small_simples()]
+    compared = 0
+    for a in simples:
+        for b in simples:
+            A, B = a.module, b.module
+            if (A.dim, A.field, len(A.mats)) == (B.dim, B.field, len(B.mats)):
+                _oracle_agrees(a, b)
+                compared += 1
+    assert compared > len(simples)

@@ -7,7 +7,8 @@ import pytest
 
 from steinberg import gf, meataxe
 from steinberg import polynomials as poly
-from steinberg.gf import charpoly, field, rank
+from steinberg.caps import MAX_NORTON_TRIES
+from steinberg.gf import charpoly, field, kernel, rank
 from steinberg.meataxe import (
     GModule,
     MeatAxeError,
@@ -140,11 +141,23 @@ def test_permutation_module_composition_structure():
     assert sum(f.dim for f in factors) == M.dim
 
 
+def match_one_to_one(a, b) -> bool:
+    """Whether same_factor pairs the two factor lists off one to one."""
+    rest = list(b)
+    for f in a:
+        hit = next((i for i, g in enumerate(rest) if same_factor(f, g)), None)
+        if hit is None:
+            return False
+        del rest[hit]
+    return not rest
+
+
 def test_two_seeds_agree_on_the_factor_multiset():
-    M = s3_permutation_module(F3)
-    a = composition_factors(M, seed=11)
-    b = composition_factors(M, seed=5077)
-    assert sorted(f.fingerprint for f in a) == sorted(f.fingerprint for f in b)
+    for M in (s3_permutation_module(F3), s3_permutation_module(F2)):
+        a = composition_factors(M, seed=11)
+        b = composition_factors(M, seed=5077)
+        assert match_one_to_one(a, b)
+    assert not match_one_to_one(a, a[:1] * len(a))
 
 
 def test_fixed_points_and_unique_minimal_submodule():
@@ -272,7 +285,7 @@ def test_spin_never_echelonizes_more_rows_than_the_dimension(monkeypatch):
     assert np.array_equal(spin(M, np.array([1, 0, 0])), F3.identity(3))
 
 
-def test_factors_of_distinct_dimensions_need_no_fingerprints(monkeypatch):
+def test_factors_of_distinct_dimensions_need_no_certificate(monkeypatch):
     callers = []
 
     def counted(F, A):
@@ -285,10 +298,103 @@ def test_factors_of_distinct_dimensions_need_no_fingerprints(monkeypatch):
     assert sorted(f.dim for f in factors) == [1, 2]
     assert len(factor_multiplicities(factors)) == 2
     assert callers and set(callers) == {"_factor_candidates"}
+    assert not any("certificate" in vars(f) for f in factors)
     norton_calls = len(callers)
-    factors[0].fingerprint
-    factors[0].fingerprint  # computed once, then cached
-    assert len(callers) == norton_calls + 6
+    two = next(f for f in factors if f.dim == 2)
+    word, f, x = two.certificate
+    assert two.certificate[0] is word  # computed once, then cached
+    assert norton_calls < len(callers) <= norton_calls + MAX_NORTON_TRIES
+    theta = meataxe._evaluate(two.module, word)
+    null = kernel(F2, poly.evaluate_matrix(F2, f, theta))
+    assert null.shape[0] == len(f) - 1 and np.array_equal(x, null[0])
+
+
+def test_recorded_words_replay_the_sampled_elements():
+    # the word draws exactly what the old sampler drew, so seeded Norton
+    # results do not move
+    M = s3_permutation_module(F3)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(5):
+        word = meataxe._random_word(M, rng_a)
+        assert 2 <= len(word) <= 4
+        assert all(1 <= c < F3.order and 1 <= len(letters) <= 3
+                   for c, letters in word)
+        assert np.array_equal(algebra_element(M, rng_b),
+                              meataxe._evaluate(M, word))
+    assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+
+
+# companion matrices of x^3+x+1 and x^3+x^2+1 over GF(2): generators of
+# the two 3-dimensional simple modules of C_7, each with End = GF(8)
+C7 = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
+C7_OTHER = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 1]], dtype=np.int64)
+
+
+def conjugate(F, A):
+    P = F.asarray([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    return F.mat_mul(F.mat_mul(P, A), gf.inverse(F, P))
+
+
+def test_same_factor_when_endomorphisms_exceed_the_field():
+    def simple(F, *mats):
+        return factor_of(GModule(F, list(mats)))
+
+    a = simple(F2, C7)
+    cube = F2.mat_mul(F2.mat_mul(C7, C7), C7)  # a generator of the other
+    assert same_factor(a, simple(F2, conjugate(F2, C7)))
+    assert not same_factor(a, simple(F2, C7_OTHER))
+    assert not same_factor(simple(F2, C7_OTHER), a)
+    assert same_factor(simple(F2, C7_OTHER), simple(F2, cube))
+    assert not same_factor(a, simple(F2, cube))
+    # the same words see equal kernels on (C, C) and (C, C^2), so only the
+    # solve for c tells them apart
+    pair = simple(F2, C7, C7)
+    assert not same_factor(pair, simple(F2, C7, F2.mat_mul(C7, C7)))
+    assert same_factor(pair, simple(F2, *[conjugate(F2, C7)] * 2))
+    # x^2+1 over GF(3), End = GF(9): a second generator acting by +1 or -1
+    J = F3.asarray([[0, 2], [1, 0]])
+    I = F3.identity(2)
+    plus = simple(F3, J, I)
+    assert same_factor(plus, simple(F3, F3.mat_neg(J), I))
+    assert not same_factor(plus, simple(F3, J, F3.mat_neg(I)))
+
+
+def test_same_factor_refuses_a_wide_spin_up_front(monkeypatch):
+    a = factor_of(GModule(F2, [C7, C7]))
+    b = factor_of(GModule(F2, [C7, F2.mat_mul(C7, C7)]))
+    c = factor_of(GModule(F2, [conjugate(F2, C7)] * 2))
+    assert len(a.certificate[1]) - 1 == 3  # the spin lives in A + B^3
+    spins = []
+    real_spin = meataxe._spin_rows
+
+    def spy(F, gens, dim, seeds):
+        spins.append(dim)
+        return real_spin(F, gens, dim, seeds)
+
+    monkeypatch.setattr(meataxe, "_spin_rows", spy)
+    monkeypatch.setattr(meataxe, "MAX_DENSE_DIM", 11)
+    with pytest.raises(ModuleCapError):
+        same_factor(a, b)
+    assert spins == []
+    # at the cap nothing, the solve for c included, is taller or wider
+    monkeypatch.setattr(meataxe, "MAX_DENSE_DIM", 12)
+    monkeypatch.setattr(gf, "MAX_DENSE_DIM", 12)
+    assert not same_factor(a, b)
+    assert same_factor(a, c)
+    assert spins == [12, 12]
+
+
+def test_same_factor_validation():
+    with pytest.raises(MeatAxeError):
+        same_factor(factor_of(rotation_module(F2)),
+                    factor_of(rotation_module(F3)))
+    with pytest.raises(MeatAxeError):
+        same_factor(factor_of(trivial_module(F3)),
+                    factor_of(trivial_module(F3, gens=1)))
+    assert not same_factor(factor_of(trivial_module(F3)),
+                           factor_of(sign_module(F3)))
+    assert same_factor(factor_of(rotation_module(F2)),
+                       factor_of(rotation_module(F2)))
 
 
 def test_fixed_points_never_echelonize_wider_than_the_dimension(monkeypatch):

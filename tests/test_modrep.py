@@ -4,7 +4,7 @@ Harish-Chandra restriction/induction, and Gelfand-Graev modules."""
 import numpy as np
 import pytest
 
-from steinberg import modrep
+from steinberg import meataxe, modrep
 from steinberg.bngroup import GLGroup, build_gl
 from steinberg.combinat import (
     dominance_leq,
@@ -21,10 +21,12 @@ from steinberg.meataxe import (
     composition_factors,
     composition_series,
     factor_multiplicities,
+    factor_of,
     fixed_points,
     is_irreducible,
     is_isomorphic,
     multiplicity_of,
+    same_factor,
     spin,
     submodule_module,
 )
@@ -208,13 +210,23 @@ def test_steinberg_factor_dimensions_and_multiplicity_free():
         assert all(mult == 1 for _, mult in grouped), (n, q, ell)
 
 
+def match_one_to_one(a, b) -> bool:
+    """Whether same_factor pairs the two factor lists off one to one."""
+    rest = list(b)
+    for f in a:
+        hit = next((i for i, g in enumerate(rest) if same_factor(f, g)), None)
+        if hit is None:
+            return False
+        del rest[hit]
+    return not rest
+
+
 def test_factors_are_seed_independent():
-    for n, q, ell in [(2, 3, 2), (3, 2, 3)]:
+    for n, q, ell in [(2, 3, 2), (3, 2, 3), (3, 2, 7)]:
         module = st_data(n, q, ell).module
         a = composition_factors(module)
         b = composition_factors(module, seed=31415)
-        assert sorted(f.fingerprint for f in a) == sorted(
-            f.fingerprint for f in b)
+        assert match_one_to_one(a, b)
 
 
 def test_composition_series_chain():
@@ -224,8 +236,9 @@ def test_composition_series_chain():
     assert [b.shape[0] for b in bases] == [5, 8]
     for basis in bases:
         assert np.array_equal(spin(module, basis), basis)
-    assert [f.fingerprint for f in factors] == [
-        f.fingerprint for f in composition_factors(module)]
+    again = composition_factors(module)
+    assert len(again) == len(factors)
+    assert all(same_factor(f, g) for f, g in zip(factors, again))
     bases2, factors2 = composition_series(st_data(2, 3, 2).module)
     assert [b.shape[0] for b in bases2] == [1, 3]
     assert sum(f.dim for f in factors2) == 3
@@ -389,6 +402,67 @@ def test_socle_multiplicities_in_partial_flag_modules():
     for lam, mult in mults.items():
         assert (mult > 0) == dominance_leq(lam, mu0)
     assert mults[mu0] == 1
+
+
+# -- the socle label among the Young permutation modules ---------------------
+#
+# D_mu is a composition factor of M_lambda = k[G/P_lambda] only if mu
+# dominates lambda, and it does occur in M_mu (Dipper-James; James 1986).
+# So D_mu0 is the one class of factors of M_mu0 that occurs in no M_lambda
+# with lambda covering mu0, and the Steinberg socle is isomorphic to it.
+
+_young = {}
+
+
+def young_factors(n, q, ell, lam):
+    if (n, q, ell, lam) not in _young:
+        _young[(n, q, ell, lam)] = composition_factors(
+            parabolic_perm_module(group(n, q), lam, ell))
+    return _young[(n, q, ell, lam)]
+
+
+def refuse_hom_spaces(monkeypatch):
+    def refuse(A, B):
+        raise AssertionError("a hom space was built")
+
+    monkeypatch.setattr(meataxe, "hom_space", refuse)
+    monkeypatch.setattr(modrep, "hom_space", refuse)
+
+
+def covers(mu):
+    """The partitions covering mu in the dominance order."""
+    above = [lam for lam in partitions(sum(mu))
+             if lam != mu and dominance_leq(mu, lam)]
+    return [lam for lam in above
+            if not any(nu != lam and dominance_leq(nu, lam) for nu in above)]
+
+
+def socle_label_holds(n, q, ell, mu):
+    higher = [g for lam in covers(mu) for g in young_factors(n, q, ell, lam)]
+    new = [f for f, _ in factor_multiplicities(young_factors(n, q, ell, mu))
+           if not any(same_factor(f, g) for g in higher)]
+    socle = factor_of(socle_data(n, q, ell).module)
+    return len(new) == 1 and same_factor(new[0], socle)
+
+
+def test_flag_module_multiplicities_beyond_the_hom_space_cap(monkeypatch):
+    # two 56-dimensional factors: a hom space between them is 3136 wide
+    refuse_hom_spaces(monkeypatch)
+    grouped = factor_multiplicities(young_factors(4, 2, 7, (1, 1, 1, 1)))
+    assert sorted((f.dim, mult) for f, mult in grouped) == [
+        (1, 3), (14, 3), (19, 3), (45, 1), (56, 3)]
+
+
+@pytest.mark.parametrize("n, q, ell, mu0", [(4, 2, 7, (2, 2)),
+                                            (3, 7, 19, (2, 1))])
+def test_socle_label_picks_out_the_steinberg_socle(n, q, ell, mu0,
+                                                   monkeypatch):
+    refuse_hom_spaces(monkeypatch)
+    assert socle_partition(n, quantum_characteristic(q, ell)) == mu0
+    assert socle_label_holds(n, q, ell, mu0)
+    for mu in partitions(n):
+        if mu != mu0:
+            assert not socle_label_holds(n, q, ell, mu), mu
 
 
 # -- Harish-Chandra restriction and induction --------------------------------
