@@ -4,8 +4,10 @@ Field elements are encoded as integers in [0, p^k): the base-p digits of the
 code are the coefficients of the residue polynomial, constant term first.
 Matrices are plain numpy int64 arrays of codes.  All results are exact.
 Floats appear only inside a matrix product whose every dot product is
-bounded below 2**53, where float64 sums of integers are exact; the product
-runs through `np.einsum`, which never calls a (multi-threaded) BLAS.
+bounded below 2**53, where float64 sums of integers are exact.  That
+product is float64 `@` with numpy's bundled OpenBLAS pinned to one thread
+for the call, or `np.einsum`, which calls no BLAS, where that library or
+its thread-count functions cannot be found.
 
 The modulus for an extension field is chosen deterministically: the monic
 irreducible polynomial of degree k whose non-leading coefficient string has
@@ -40,8 +42,8 @@ _TABLE_LIMIT = 1 << 11
 # a float64 dot product of integers is exact while every sum stays below this
 _FLOAT_EXACT = 1 << 53
 # products with fewer multiply-adds stay on int64 `@`: converting small
-# factors to float64 costs more than einsum saves (without this floor both
-# benchmark workloads run about 7% slower)
+# factors to float64 costs more than the float product saves (without this
+# floor both benchmark workloads ran about 7% slower)
 _FLOAT_MIN_MADDS = 1 << 15
 # the pivot search's first window of columns past an empty one
 _SCAN_WIDTH = 64
@@ -311,18 +313,31 @@ class FiniteField:
     def _product(self, A, B) -> np.ndarray:
         """Exact integer product of two int64 matrices with entries in [0, p).
 
-        Large products run as float64 einsum when no dot product can reach
-        2**53, so every partial sum is an exactly representable integer.
+        Large products run in float64 when no dot product can reach 2**53,
+        so every partial sum is an exactly representable integer: as `@`
+        on one OpenBLAS thread, restoring the thread count afterwards, or
+        as einsum when `_blas_threads` finds no thread-count functions.
         """
         if A.ndim == 2 and B.ndim == 2:
             inner = A.shape[1]
             if (A.shape[0] * inner * B.shape[1] >= _FLOAT_MIN_MADDS
                     and inner * (self.p - 1) ** 2 < _FLOAT_EXACT):
-                # both factors row-major along the summed index: einsum's
-                # contiguous dot loop, fast for narrow B as well
-                return np.einsum("ij,kj->ik", A.astype(np.float64),
-                                 B.T.astype(np.float64, order="C")
-                                 ).astype(np.int64)
+                threads = _blas_threads()
+                if threads is None:
+                    # both factors row-major along the summed index:
+                    # einsum's contiguous dot loop, fast for narrow B too
+                    return np.einsum("ij,kj->ik", A.astype(np.float64),
+                                     B.T.astype(np.float64, order="C")
+                                     ).astype(np.int64)
+                Af, Bf = A.astype(np.float64), B.astype(np.float64)
+                get_threads, set_threads = threads
+                saved = get_threads()
+                set_threads(1)
+                try:
+                    C = Af @ Bf
+                finally:
+                    set_threads(saved)
+                return C.astype(np.int64)
         return A @ B
 
     def mat_add(self, A, B) -> np.ndarray:
@@ -419,6 +434,34 @@ class FiniteField:
         return isinstance(other, FiniteField) and (self.p, self.k) == (other.p, other.k)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when the library or either function is missing.
+
+    Looked up on the first float product, not at import: loading ctypes
+    and glob would lengthen every start-up.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libs = sorted(glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so")))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
 @functools.lru_cache(maxsize=None)
 def field(p: int, k: int = 1) -> FiniteField:
     """The finite field GF(p^k) with the canonical deterministic modulus."""
@@ -510,19 +553,28 @@ def rank(F: FiniteField, A) -> int:
 
 
 def kernel(F: FiniteField, A) -> np.ndarray:
-    """Canonical basis (rows, RREF) of {x : A @ x = 0}."""
+    """Canonical basis (rows, RREF) of {x : A @ x = 0}, from one `rref`.
+
+    The elimination runs on A with its columns reversed.  Free column f of
+    the reversed matrix gives the kernel vector with a 1 at original column
+    cols - 1 - f and -R[j, f] at the pivot columns, which all lie to the
+    right of it there.  So each vector's leading 1 is in a column where
+    every other vector is zero, and the vectors sorted by that column are
+    already the RREF basis.
+    """
     A = np.asarray(A, dtype=np.int64)
-    R, piv = rref(F, A)
     cols = A.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
+    R, piv = rref(F, A[:, ::-1])
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    # descending in the reversed columns: ascending in the original ones
+    free = np.flatnonzero(is_free)[::-1]
     K = np.zeros((len(free), cols), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
     if piv:
-        # free column c sets each pivot variable to -R[j, c]
+        # free column f sets each pivot variable to -R[j, f]
         K[:, piv] = F.mat_neg(R[: len(piv), free].T)
-    return row_basis(F, K)
+    return np.ascontiguousarray(K[:, ::-1])
 
 
 def inverse(F: FiniteField, A) -> np.ndarray:

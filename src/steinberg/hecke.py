@@ -17,9 +17,10 @@ x^{-1}y lies in the double coset of n_w, read from the group's cell table.
 Because the algebra is the opposite of the equivariant endomorphism ring,
 the operator of a product T_x T_y is (matrix of T_y) @ (matrix of T_x); the
 relation checks below pin that convention.  A simple operator T_s sends
-each flag to the sum of the q flags s-adjacent to it, so it is applied to a
-block of vectors as a sum of q index gathers through the cell table, and
-neither the eigenspace nor the relation checks multiply operator
+each flag to the sum of the q flags s-adjacent to it.  The relation checks
+apply it to a block of vectors as a sum of q index gathers through the
+cell table; the eigenspace reads only the s-panels, since T_s x = -x
+exactly when x sums to 0 over each s-panel.  Neither multiplies operator
 matrices.  The all-important alternating sum over the Weyl group (the
 Steinberg element) is an integer eigenvector of every realized operator
 with eigenvalue (-1)^l(w), here checked over the integers so the statement
@@ -30,15 +31,12 @@ matrices.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .bngroup import GLGroup
 from .caps import MAX_DENSE_DIM
 from .coxeter import CoxeterGroup
-from .gf import FieldError, FiniteField, field, is_prime
-from .meataxe import fixed_points
+from .gf import FieldError, FiniteField, field, is_prime, kernel
 
 __all__ = [
     "HeckeError",
@@ -398,27 +396,41 @@ def _adjacent_flags(G: GLGroup, s: int) -> np.ndarray:
     return np.nonzero(hits.T)[1].reshape(G.index, G.q)
 
 
-def _apply_simple(F: FiniteField, adjacent, rows, sign=1) -> np.ndarray:
-    """rows @ (sign T_s).T over the prime field F: flag i gets the sum of
-    the rows' entries on the flags adjacent to i, one gather at a time."""
+def _apply_simple(F: FiniteField, adjacent, rows) -> np.ndarray:
+    """rows @ T_s.T over the prime field F: flag i gets the sum of the
+    rows' entries on the flags adjacent to i, one gather at a time."""
     out = rows[:, adjacent[:, 0]]
     for k in range(1, adjacent.shape[1]):
         out += rows[:, adjacent[:, k]]
-    return (sign * out) % F.p
+    return out % F.p
+
+
+def _panel_incidence(G: GLGroup, s: int) -> np.ndarray:
+    """0/1 matrix with one row per s-panel: the q + 1 flags made of a flag
+    and the q flags s-adjacent to it."""
+    adjacent = _adjacent_flags(G, s)
+    leader = np.minimum(adjacent.min(axis=1), np.arange(G.index))
+    panel = np.unique(leader, return_inverse=True)[1]
+    out = np.zeros((panel.max() + 1, G.index), dtype=np.int64)
+    out[panel, np.arange(G.index)] = 1
+    return out
 
 
 def sign_eigenspace(G: GLGroup, ell: int) -> np.ndarray:
     """Basis rows of the common (-1)-eigenspace of all simple operators.
 
-    Computed over GF(ell) as the common fixed space of the operators -T_s,
-    each applied by gathers through the cell table; equals the Steinberg
-    submodule of the flag permutation module.
+    T_s x is the sum of x over each flag's s-panel minus x, so T_s x = -x
+    exactly when x sums to 0 over every s-panel.  The eigenspace is
+    therefore one kernel over GF(ell), of the stacked panel incidence
+    matrices of all simple reflections (the whole space when there are
+    none); it equals the Steinberg submodule of the flag permutation
+    module.
     """
     F = _check_ell(G, ell)
-    negated = [functools.partial(_apply_simple, F, _adjacent_flags(G, s),
-                                 sign=-1)
-               for s in range(G.weyl.rank)]
-    return fixed_points(F, negated, G.index)
+    if G.weyl.rank == 0:
+        return F.identity(G.index)
+    return kernel(F, np.vstack([_panel_incidence(G, s)
+                                for s in range(G.weyl.rank)]))
 
 
 def hecke_check(G: GLGroup, ell: int) -> dict:

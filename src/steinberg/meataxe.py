@@ -11,8 +11,13 @@ The Norton test (Parker 1984; Holt & Rees 1994) tries only the actual
 irreducible factors of the characteristic polynomial of each sampled
 algebra element, lowest degree first, as `polynomials.irreducible_factors`
 yields them, and evaluates each with `polynomials.evaluate_matrix`; this
-module does no polynomial arithmetic of its own.  A factor of multiplicity
+module does no polynomial arithmetic of its own.  A factor whose kernel
+has dimension deg f certifies: one spin of its kernel vector, and one of
+the transpose's, settle the verdict either way.  A factor of multiplicity
 one always certifies, so every sample with such a factor gets a verdict.
+The other factors' kernel vectors are spun only when a sample has no
+certifying factor; such a spin can only find a witness, as it does for a
+direct sum of two copies of one simple module or a scalar action.
 Sampled elements are recorded words, so a simple factor's certificate (a
 word theta and a factor f with kernel of dimension deg f) replays on
 another factor; one spin in A + B^m and a small solve decide isomorphism.
@@ -304,8 +309,8 @@ def _evaluate(M: GModule, word) -> np.ndarray:
     F = M.field
     A = np.zeros((M.dim, M.dim), dtype=np.int64)
     for c, letters in word:
-        term = F.identity(M.dim)
-        for i in letters:
+        term = M.mats[letters[0]] if letters else F.identity(M.dim)
+        for i in letters[1:]:
             term = F.mat_mul(term, M.mats[i])
         A = F.mat_add(A, F.scale(c, term))
     return A
@@ -331,11 +336,14 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     Returns (True, None) or (False, witness) where witness is the canonical
     basis of a proper nonzero invariant subspace.  Only the actual
     irreducible factors f of the characteristic polynomial of a sampled
-    algebra element theta are tried, lowest degree first.  A kernel vector
-    of f(theta) that spins to a proper subspace is a witness; a factor
-    whose kernel dimension equals deg f (always so for a factor of
-    multiplicity one) certifies, once a kernel vector of the transpose
-    spins to the whole space as well.
+    algebra element theta are tried, lowest degree first.  A factor whose
+    kernel dimension equals deg f (always so for a factor of multiplicity
+    one) settles the verdict: a kernel vector of f(theta) that spins to a
+    proper subspace is a witness, and otherwise the module is simple once a
+    kernel vector of the transpose spins to the whole space as well.  The
+    first kernel vectors of the other factors are spun, in the same order,
+    only when theta has no such factor; one that spins to a proper
+    subspace is a witness.
     """
     if M.dim == 0:
         raise ZeroModuleError("the zero module has no irreducibility verdict")
@@ -352,18 +360,23 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     transposed = [A.T for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
         theta = algebra_element(M, rng)
+        set_aside = []
         for f, fmat, null_basis in _factor_candidates(F, theta):
+            if null_basis.shape[0] != len(f) - 1:
+                set_aside.append(null_basis[0])
+                continue
             sub = _spin_rows(F, M._gens, M.dim, null_basis[0])
             if sub.shape[0] < M.dim:
                 return False, sub
-            if null_basis.shape[0] != len(f) - 1:
-                continue  # spin is full but the factor cannot certify
-            w = kernel(F, fmat.T.copy())[0]
+            w = kernel(F, fmat.T)[0]
             dual_sub = _spin_rows(F, transposed, M.dim, w)
             if dual_sub.shape[0] < M.dim:
-                witness = kernel(F, dual_sub)
-                return False, witness
+                return False, kernel(F, dual_sub)
             return True, None
+        for v in set_aside:
+            sub = _spin_rows(F, M._gens, M.dim, v)
+            if sub.shape[0] < M.dim:
+                return False, sub
     raise MeatAxeError(
         f"no irreducibility verdict within {MAX_NORTON_TRIES} attempts")
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from steinberg import cli, hecke, meataxe, modrep
@@ -240,6 +241,43 @@ def test_verify_builds_no_certificate_and_no_hom_space(
         capsys, "verify", "--n", str(n), "--q", str(q), "--ell", str(ell))
     assert code == 0
     assert all(c["pass"] for c in payload["checks"])
+
+
+def test_verify_spins_no_set_aside_vector_of_a_settled_sample(
+        capsys, monkeypatch):
+    # a sampled theta with a factor whose kernel has dimension deg f settles
+    # the Norton verdict by that factor, so the kernel vectors set aside
+    # from its other factors are never spun
+    samples, spins = [], []
+    candidates, spin_rows = meataxe._factor_candidates, meataxe._spin_rows
+
+    def recorded_candidates(F, theta):
+        sample = {"certifies": False, "set_aside": []}
+        samples.append(sample)
+        for f, fmat, null_basis in candidates(F, theta):
+            if null_basis.shape[0] == len(f) - 1:
+                sample["certifies"] = True
+            else:
+                sample["set_aside"].append(null_basis)
+            yield f, fmat, null_basis
+
+    def recorded_spin(F, gens, dim, seeds):
+        spins.append((samples[-1] if samples else None, seeds))
+        return spin_rows(F, gens, dim, seeds)
+
+    monkeypatch.setattr(meataxe, "_factor_candidates", recorded_candidates)
+    monkeypatch.setattr(meataxe, "_spin_rows", recorded_spin)
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "5", "--ell", "2")
+    assert code == 0
+    assert all(c["pass"] for c in payload["checks"])
+    # the check has something to find: some settled samples set vectors aside
+    assert any(s["set_aside"] for s in samples if s["certifies"])
+    wasted = [seeds for sample, seeds in spins
+              if sample is not None and sample["certifies"] and any(
+                  np.shares_memory(seeds, null)
+                  for null in sample["set_aside"])]
+    assert wasted == []
 
 
 @pytest.mark.parametrize("command", ["verify", "hecke-check"])

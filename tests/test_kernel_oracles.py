@@ -12,9 +12,10 @@ the Norton test tried every root, every root-free quadratic and, over
 fields of at most 3 elements, every root-free cubic, and Harish-Chandra
 restriction took the fixed points of the dense radical matrices and
 restricted each Levi generator's permutation matrix to them, `kernel` set
-its entries in a scalar double loop, permutation modules were spun,
-restricted and fixed through their dense permutation matrices, and the
-eigenspace of the Hecke operators came from their dense matrices, and
+its entries in a scalar double loop and echelonized them a second time,
+permutation modules were spun, restricted and fixed through their dense
+permutation matrices, the eigenspace of the Hecke operators came from the
+fixed points of the operators -T_s, as dense matrices or as gathers, and
 `mat_mul` multiplied int64 arrays (digit by digit over extension fields)
 with no float64 path, the multiplication table of a small extension field
 was built one scaled row at a time, `canonical_flag` canonicalized one
@@ -32,7 +33,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinberg import gf, polynomials as poly
@@ -72,7 +73,12 @@ from steinberg.meataxe import (
     spin,
     submodule_module,
 )
-from steinberg.hecke import act_on_borel_module, sign_eigenspace
+from steinberg.hecke import (
+    _adjacent_flags,
+    _apply_simple,
+    act_on_borel_module,
+    sign_eigenspace,
+)
 from steinberg.modrep import (
     _regular_module,
     borel_module,
@@ -261,6 +267,14 @@ def fixed_points_oracle(F, mats, dim):
         if basis.shape[0] == 0:
             break
     return basis
+
+
+def sign_eigenspace_oracle(G, ell):
+    F = field(ell)
+    negated = [lambda rows, adjacent=_adjacent_flags(G, s):
+               F.mat_neg(_apply_simple(F, adjacent, rows))
+               for s in range(G.weyl.rank)]
+    return fixed_points(F, negated, G.index)
 
 
 def hc_restrict_oracle(G, composition, M):
@@ -747,6 +761,57 @@ def test_mat_mul_matches_integer_products(F):
         assert np.array_equal(F.mat_mul(B.T, A.T), C.T)
 
 
+def test_float_products_run_on_one_blas_thread_and_restore_the_count(
+        monkeypatch):
+    threads = gf._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count functions are "
+                    "missing, so products take the einsum fallback")
+    get_threads, set_threads = threads
+    requested = []
+
+    def recorded_set(n):
+        requested.append(n)
+        set_threads(n)
+
+    monkeypatch.setattr(gf, "_blas_threads",
+                        lambda: (get_threads, recorded_set))
+    F = field(13)
+    rng = np.random.default_rng(11)
+    A, B = F.random_matrix(rng, (300, 300)), F.random_matrix(rng, (300, 300))
+    saved = get_threads()
+    try:
+        for count in (2, 1):
+            set_threads(count)
+            requested.clear()
+            assert np.array_equal(F.mat_mul(A, B), mat_mul_oracle(F, A, B))
+            assert requested == [1, count]
+            assert get_threads() == count
+    finally:
+        set_threads(saved)
+
+
+@pytest.mark.parametrize("F", PRODUCT_FIELDS, ids=repr)
+def test_einsum_fallback_matches_the_blas_products(monkeypatch, F):
+    rng = np.random.default_rng(6)
+    pairs = [(F.random_matrix(rng, (m, n)), F.random_matrix(rng, (n, r)))
+             for m, n, r in PRODUCT_SHAPES]
+    products = [F.mat_mul(A, B) for A, B in pairs]
+    einsum_calls = []
+
+    def counted_einsum(*args, **kwargs):
+        einsum_calls.append(None)
+        return einsum(*args, **kwargs)
+
+    einsum = np.einsum
+    monkeypatch.setattr(gf, "_blas_threads", lambda: None)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    for (A, B), C in zip(pairs, products):
+        assert np.array_equal(F.mat_mul(A, B), C)
+    # the shapes past the float crossover took the fallback
+    assert einsum_calls
+
+
 @pytest.mark.parametrize("F", (field(2, 2), field(3, 2), field(2, 4),
                                field(5, 2), field(2, 10)), ids=repr)
 def test_multiplication_tables_match_scaled_rows(F):
@@ -813,8 +878,31 @@ def test_products_beyond_the_float_bound_fall_back_exactly():
     assert F.mat_mul(A, B).tolist() == ((A @ B) % p).tolist()
 
 
+def _kernel_examples():
+    """Zero-width, empty, full-rank and all-zero matrices over GF(4), GF(9)."""
+    out = []
+    for F in (field(2, 2), field(3, 2)):
+        full = np.triu(np.full((4, 4), F.order - 1, dtype=np.int64), 1)
+        full[np.diag_indices(4)] = np.arange(1, 5) % (F.order - 1) + 1
+        out += [(F, np.zeros((3, 0), dtype=np.int64)),
+                (F, np.zeros((0, 4), dtype=np.int64)),
+                (F, full), (F, full[:3]), (F, full[:, 1:]),
+                (F, np.zeros((3, 5), dtype=np.int64))]
+    return out
+
+
+def _with_examples(cases):
+    """Hypothesis `example` for each case, before the generated inputs."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @SETTINGS
 @given(echelon_inputs())
+@_with_examples(_kernel_examples())
 def test_kernel_matches_loop_oracle(case):
     F, A = case
     K = kernel(F, A)
@@ -988,6 +1076,17 @@ def test_sign_eigenspace_matches_dense_operator_fixed_points(case):
                for s in range(G.weyl.rank)]
     assert np.array_equal(sign_eigenspace(G, ell),
                           fixed_points(F, negated, G.index))
+
+
+@pytest.mark.parametrize("n, q", ((1, 3), (2, 2), (2, 9), (3, 2), (3, 3),
+                                  (3, 4), (3, 5), (4, 2)))
+def test_sign_eigenspace_matches_fixed_points_of_negated_operators(n, q):
+    G = build_gl(n, q)
+    ells = [ell for ell in sorted({c[2] for c in GATHER_CASES}) if ell != G.p]
+    assert len(ells) >= 4
+    for ell in ells:
+        assert np.array_equal(sign_eigenspace(G, ell),
+                              sign_eigenspace_oracle(G, ell)), ell
 
 
 # -- the flag action against the per-flag and Bruhat-composed routes ----------

@@ -108,6 +108,38 @@ def test_norton_evaluates_only_factors_of_the_characteristic_polynomial(
         assert poly.mod(F, charpoly(F, A), f) == []
 
 
+def _doubled(M):
+    """M plus itself, with the generators in block-diagonal form."""
+    zero = np.zeros((M.dim, M.dim), dtype=np.int64)
+    return GModule(M.field, [np.block([[A, zero], [zero, A]]) for A in M.mats],
+                   label=f"{M.label} twice")
+
+
+@pytest.mark.parametrize("M", [
+    GModule(F3, [F3.identity(2)], label="identity on GF(3)^2"),
+    GModule(F3, [F3.identity(2), F3.scale(2, F3.identity(2))],
+            label="scalars on GF(3)^2"),
+    _doubled(rotation_module(F2)),
+    _doubled(cubic_companion_module()),
+], ids=lambda M: M.label)
+def test_witness_when_no_sample_has_a_certifying_factor(monkeypatch, M):
+    # every factor f of every sampled characteristic polynomial has a kernel
+    # of dimension 2 deg f or more, so only the set-aside kernel vectors can
+    # give the verdict; they do so on the first sample
+    samples = []
+
+    def counted(M, rng):
+        samples.append(None)
+        return algebra_element(M, rng)
+
+    monkeypatch.setattr(meataxe, "algebra_element", counted)
+    verdict, witness = is_irreducible(M)
+    assert not verdict
+    assert 0 < rank(M.field, witness) < M.dim
+    assert np.array_equal(spin(M, witness), witness)
+    assert len(samples) == 1
+
+
 def test_endomorphisms_of_a_point_with_quadratic_splitting_field():
     M = rotation_module(F2)
     homs = hom_space(M, M)
