@@ -376,20 +376,6 @@ class GLGroup:
 
     # -- the flag variety G/B ----------------------------------------------
 
-    @cached_property
-    def _inverses(self) -> np.ndarray:
-        """inverses[c] = 1/c for every nonzero field code c (0 at 0)."""
-        F = self.field
-        codes = np.arange(F.order, dtype=np.int64)
-        out, e = np.ones_like(codes), F.order - 2
-        while e:  # c^(q-2) by repeated squaring, on all codes at once
-            if e & 1:
-                out = F.hadamard(out, codes)
-            codes = F.hadamard(codes, codes)
-            e >>= 1
-        out[0] = 0
-        return out
-
     def canonical_flag(self, g) -> np.ndarray:
         """Unique coset representative of gB in column-echelon normal form,
         for one n-by-n matrix g or an (m, n, n) stack of them.
@@ -417,7 +403,7 @@ class GLGroup:
             if not c.all():
                 raise GroupError("singular matrix does not define a flag")
             flags[:, :, j:j + 1] = F.hadamard(
-                self._inverses[c][:, None, None], col)
+                F.inverses[c][:, None, None], col)
         return A
 
     def flag_key(self, g) -> bytes:

@@ -3,6 +3,17 @@
 Field elements are encoded as integers in [0, p^k): the base-p digits of the
 code are the coefficients of the residue polynomial, constant term first.
 Matrices are plain numpy int64 arrays of codes.  All results are exact.
+
+How elements multiply: a prime field multiplies modulo p.  An extension
+field multiplies elementwise (scalars, `hadamard`, `scale`, inverses and
+powers) through one pair of discrete-log tables, exp[i] = g^i for the
+smallest-coded generator g and log[exp[i]] = i, each of at most q entries
+and built on first use; a product is exp[(log a + log b) mod (q - 1)], and
+0 where a factor is 0.  Every field also reads `element_order` and its
+`inverses` array from these tables.  A matrix product over an extension
+field convolves the base-p digits of its factors, one integer product per
+pair of digits, and reduces the convolution by the modulus.
+
 Floats appear only inside a matrix product whose every dot product is
 bounded below 2**53, where float64 sums of integers are exact.  That
 product is float64 `@` with numpy's bundled OpenBLAS pinned to one thread
@@ -17,6 +28,7 @@ the smallest integer encoding.  GF(4) therefore always means x^2 + x + 1.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -37,8 +49,6 @@ __all__ = [
     "reduce_mod_rowspace",
 ]
 
-# full multiplication/inverse tables only below this order
-_TABLE_LIMIT = 1 << 11
 # a float64 dot product of integers is exact while every sum stays below this
 _FLOAT_EXACT = 1 << 53
 # products with fewer multiply-adds stay on int64 `@`: converting small
@@ -122,154 +132,115 @@ class FiniteField:
         self.one = 1
         self._pows = np.array([p ** i for i in range(k)], dtype=np.int64)
         if k > 1:
-            # reduction rows: x^(k+m) expressed in the power basis
-            red = np.zeros((k - 1, k), dtype=np.int64)
-            cur = [(-modulus[i]) % p for i in range(k)]  # x^k
-            red_rows = [cur]
-            for _ in range(k - 2):
-                nxt = [0] * k
-                for j, c in enumerate(cur[:-1]):
-                    nxt[j + 1] = c
-                top = cur[-1]
-                for j in range(k):
-                    nxt[j] = (nxt[j] + top * red_rows[0][j]) % p
-                red_rows.append(nxt)
-                cur = nxt
-            for i, row in enumerate(red_rows):
-                red[i] = row
-            self._red = red
-        self._mul_table = None
-        self._inv_table = None
-        self._generator = None
+            # reduction rows: row m is x^(k+m) in the power basis
+            self._red = self._shifted_rows([1], range(k, 2 * k - 1))
+
+    def _poly(self, a: int) -> list[int]:
+        """The residue polynomial of a code, as a `polynomials` list over GF(p)."""
+        return polynomials.trim(self._decode(a).tolist())
+
+    def _shifted_rows(self, c: list[int], shifts) -> np.ndarray:
+        """Digits of x^s * c mod the modulus, one row per s, for a
+        polynomial c over GF(p)."""
+        Fp = field(self.p)
+        rows = [polynomials.mod(Fp, [0] * s + c, self.modulus) for s in shifts]
+        return np.array([r + [0] * (self.k - len(r)) for r in rows],
+                        dtype=np.int64)
+
+    @functools.cached_property
+    def generator(self) -> int:
+        """Smallest-coded multiplicative generator: the first code g with
+        g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        Fp = field(self.p)
+        n = self.order - 1
+        primes = list(factorize(n))
+        return next(g for g in range(1, self.order) if all(
+            polynomials.powmod(Fp, self._poly(g), n // r, self.modulus) != [1]
+            for r in primes))
+
+    @functools.cached_property
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log): exp[i] = g^i for the generator g and i < q - 1, and
+        log[exp[i]] = i; log[0] is 0 and means nothing.
+
+        exp doubles, exp[m:2m] = exp[:m] * g^m, and multiplying by the
+        fixed element g^m is a k x k linear map of the digits.
+        """
+        Fp = field(self.p)
+        n = self.order - 1
+        g = self._poly(self.generator)
+        exp = np.ones(n, dtype=np.int64)
+        m = 1
+        while m < n:
+            top = min(m, n - m)
+            times = self._shifted_rows(
+                polynomials.powmod(Fp, g, m, self.modulus), range(self.k))
+            exp[m:m + top] = self._encode(self._decode(exp[:top]) @ times)
+            m *= 2
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False
+        return exp, log
+
+    @functools.cached_property
+    def inverses(self) -> np.ndarray:
+        """inverses[c] = 1/c for every nonzero code c, and 0 at 0."""
+        exp, _ = self._logs
+        out = np.zeros(self.order, dtype=np.int64)
+        out[exp] = exp[-np.arange(len(exp)) % len(exp)]
+        out.flags.writeable = False
+        return out
 
     # -- scalar arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return self._encode1(( self._decode1(a) + self._decode1(b)) % self.p)
+        return int(self.mat_add(a, b))
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        return self._encode1((self._decode1(a) - self._decode1(b)) % self.p)
+        return int(self.mat_sub(a, b))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self._encode1((-self._decode1(a)) % self.p)
+        return int(self.mat_neg(a))
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        t = self._tables()
-        if t is not None:
-            return int(t[a, b])
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        p = self.p
-        fa, fb = self._decode1(a), self._decode1(b)
-        conv = np.convolve(fa, fb) % p
-        return self._encode1(self._reduce_digits(conv))
-
-    def _reduce_digits(self, digits):
-        """Reduce a coefficient vector of length <= 2k-1 to length k."""
-        k = self.k
-        digits = np.asarray(digits, dtype=np.int64)
-        if len(digits) < k:
-            digits = np.concatenate([digits, np.zeros(k - len(digits), dtype=np.int64)])
-        low, high = digits[:k].copy(), digits[k:]
-        for m, c in enumerate(high):
-            if c:
-                low = (low + c * self._red[m]) % self.p
-        return low % self.p
+        if a == 0 or b == 0:
+            return 0
+        exp, log = self._logs
+        return int(exp[(log[a] + log[b]) % (self.order - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in " + str(self))
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        if self.order <= _TABLE_LIMIT:
-            self._tables()
-            return int(self._inv_table[a])
-        return self.pow(a, self.order - 2)
+        return int(self.inverses[a])
 
     def pow(self, a: int, e: int) -> int:
-        e = e % (self.order - 1) if a != 0 else e
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if a == 0:
+            return 0 ** e  # 1 for e = 0; raises for e < 0
+        exp, log = self._logs
+        return int(exp[int(log[a]) * e % (self.order - 1)])
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
-
-    def _tables(self):
-        if self.k == 1 or self.order > _TABLE_LIMIT:
-            return self._mul_table
-        if self._mul_table is None:
-            # the powers of some primitive element, by polynomial products,
-            # give discrete logs: a * b = exp[log a + log b]
-            q = self.order
-            for a in range(2, q):
-                exp, x = [1], a
-                while x != 1:
-                    exp.append(x)
-                    x = self._mul_poly(x, a)
-                if len(exp) == q - 1:
-                    break
-            exp = np.array(exp, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
-            table = np.zeros((q, q), dtype=np.int64)
-            table[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
-            self._mul_table = table
-            self._inv_table = np.zeros(q, dtype=np.int64)
-            self._inv_table[1:] = exp[-log[1:] % (q - 1)]
-        return self._mul_table
-
-    @property
-    def generator(self) -> int:
-        """Smallest-coded multiplicative generator."""
-        if self._generator is None:
-            n = self.order - 1
-            primes = list(factorize(n))
-            g = None
-            for cand in range(1, self.order):
-                if all(self.pow(cand, n // r) != 1 for r in primes):
-                    g = cand
-                    break
-            self._generator = g
-        return self._generator
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise FieldError("0 has no multiplicative order")
         n = self.order - 1
-        o = n
-        for r, m in factorize(n).items():
-            for _ in range(m):
-                if self.pow(a, o // r) == 1:
-                    o //= r
-                else:
-                    break
-        return o
+        return n // math.gcd(int(self._logs[1][a]), n)
 
     # -- encode/decode ----------------------------------------------------
-
-    def _decode1(self, a: int):
-        return np.array([(a // self.p ** i) % self.p for i in range(self.k)],
-                        dtype=np.int64)
-
-    def _encode1(self, digits) -> int:
-        digits = np.asarray(digits, dtype=np.int64) % self.p
-        return int((digits[: self.k] * self._pows[: len(digits[: self.k])]).sum())
 
     def _decode(self, arr):
         """(..., ) codes -> (..., k) digits."""
@@ -278,8 +249,7 @@ class FiniteField:
 
     def _encode(self, digits):
         """(..., k) digits -> (...,) codes."""
-        digits = np.asarray(digits, dtype=np.int64) % self.p
-        return (digits * self._pows).sum(axis=-1).astype(np.int64)
+        return (np.asarray(digits, dtype=np.int64) % self.p) @ self._pows
 
     def from_int(self, n: int) -> int:
         """Image of an integer under Z -> GF(p^k) (lands in the prime field)."""
@@ -359,13 +329,7 @@ class FiniteField:
         """c * A elementwise for a scalar code c."""
         if self.k == 1:
             return self._mod(c * np.asarray(A))
-        dc = self._decode1(c)
-        dA = self._decode(A)  # (..., k)
-        conv = np.zeros(dA.shape[:-1] + (2 * self.k - 1,), dtype=np.int64)
-        for i in range(self.k):
-            if dc[i]:
-                conv[..., i : i + self.k] += dc[i] * dA
-        return self._encode(self._reduce_digit_stack(conv % self.p))
+        return self.hadamard(c, A)
 
     def _reduce_digit_stack(self, conv):
         """(..., 2k-1) coefficient stacks -> (..., k)."""
@@ -381,13 +345,9 @@ class FiniteField:
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
             return self._mod(A * B)
-        dA, dB = self._decode(A), self._decode(B)
-        shape = np.broadcast_shapes(A.shape, B.shape)
-        conv = np.zeros(shape + (2 * self.k - 1,), dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k):
-                conv[..., i + j] += dA[..., i] * dB[..., j]
-        return self._encode(self._reduce_digit_stack(conv % self.p))
+        exp, log = self._logs
+        return np.where((A == 0) | (B == 0), 0,
+                        exp[(log[A] + log[B]) % (self.order - 1)])
 
     def sub_outer(self, X, col, row) -> np.ndarray:
         """X - outer(col, row): the rank-1 update of elimination."""

@@ -21,6 +21,8 @@ direct sum of two copies of one simple module or a scalar action.
 Sampled elements are recorded words, so a simple factor's certificate (a
 word theta and a factor f with kernel of dimension deg f) replays on
 another factor; one spin in A + B^m and a small solve decide isomorphism.
+The module keeps its certificate, so the search runs once per module
+however many comparisons replay it.
 
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
@@ -28,11 +30,12 @@ the current basis, so no elimination sees more rows than the module has
 dimensions.  A permutation module keeps its generator permutations and
 builds no matrix for them unless a caller reads `mats`: spinning,
 restriction to a submodule and fixed points apply a permutation as a
-column gather, and `fixed_points` also takes any row map, such as the
-gather-sum of a Hecke operator.  Hom spaces and fixed points cut their
-solution space down one generator at a time (Holt & Rees 1994), so no
-system is wider than the space of candidate maps or taller than the
-module.
+column gather, and `fixed_points` also takes any row map.  No module of
+the package calls `fixed_points`: `hecke.sign_eigenspace` takes one kernel
+of panel incidence matrices instead.  It stays a library function.  Hom
+spaces and fixed points cut their solution space down one generator at a
+time (Holt & Rees 1994), so no system is wider than the space of
+candidate maps or taller than the module.
 
 Vectors are rows; a matrix A acts on the column vector v as A @ v, so the
 row form of the action is v -> v @ A.T.  All subspaces are returned as
@@ -156,6 +159,12 @@ class GModule:
         if self.perms is None:
             return self._mats
         return [np.argsort(p) for p in self.perms]
+
+    @functools.cached_property
+    def _certificate(self) -> tuple:
+        """See `CompositionFactor`: kept on the module, so however many
+        factors wrap it, one search finds it."""
+        return _search_certificate(self)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -393,25 +402,29 @@ class CompositionFactor:
     f(theta) has dimension deg f, and the first vector x of that kernel.
     It is searched for with the default seed, without spinning, since the
     module is already known to be simple, and only when a comparison needs
-    it: factors of different dimensions never do.
+    it: factors of different dimensions never do.  The module keeps it, so
+    every factor of one module shares one search.
     """
 
     dim: int
     module: GModule = dc_field(repr=False)
 
-    @functools.cached_property
+    @property
     def certificate(self) -> tuple:
-        M = self.module
-        rng = np.random.default_rng(DEFAULT_SEED)
-        for _ in range(MAX_NORTON_TRIES):
-            word = _random_word(M, rng)
-            for f, _, null_basis in _factor_candidates(
-                    M.field, _evaluate(M, word)):
-                if null_basis.shape[0] == len(f) - 1:
-                    return word, f, null_basis[0]
-        raise MeatAxeError(
-            f"no certificate for a simple factor within {MAX_NORTON_TRIES} "
-            "attempts")
+        return self.module._certificate
+
+
+def _search_certificate(M: GModule) -> tuple:
+    """(word, f, x) for a simple module M; see `CompositionFactor`."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for _ in range(MAX_NORTON_TRIES):
+        word = _random_word(M, rng)
+        for f, _, null_basis in _factor_candidates(M.field, _evaluate(M, word)):
+            if null_basis.shape[0] == len(f) - 1:
+                return word, f, null_basis[0]
+    raise MeatAxeError(
+        f"no certificate for a simple factor within {MAX_NORTON_TRIES} "
+        "attempts")
 
 
 def factor_of(M: GModule) -> CompositionFactor:

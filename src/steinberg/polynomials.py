@@ -2,8 +2,9 @@
 
 A polynomial is a Python list of element codes, constant term first, with no
 trailing zeros ([] is the zero polynomial).  Only what the irreducibility
-and factorization machinery needs lives here: arithmetic, gcd, modular
-powers, evaluation at a matrix, and one factoring path.
+and factorization machinery and the set-up of extension fields in `gf`
+need lives here: arithmetic, gcd, modular powers, evaluation at a matrix,
+and one factoring path.
 
 That path is `irreducible_factors`, a lazy distinct-degree factorization
 whose same-degree products are split by Cantor-Zassenhaus.  It yields the

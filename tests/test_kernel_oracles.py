@@ -17,8 +17,9 @@ permutation modules were spun, restricted and fixed through their dense
 permutation matrices, the eigenspace of the Hecke operators came from the
 fixed points of the operators -T_s, as dense matrices or as gathers, and
 `mat_mul` multiplied int64 arrays (digit by digit over extension fields)
-with no float64 path, the multiplication table of a small extension field
-was built one scaled row at a time, `canonical_flag` canonicalized one
+with no float64 path, elementwise products, inverses, powers and orders
+over an extension field came from products of base-p digits reduced by
+the modulus, not from discrete-log tables, `canonical_flag` canonicalized one
 flag at a time, the flag and G/P orbits moved one coset by one generator
 at a time, `coset_permutation` on G/B composed memoized permutations of
 the Bruhat factors of g, and the G/P action keyed one representative at a
@@ -138,6 +139,17 @@ def mat_mul_oracle(F, A, B):
     for i in range(F.k):
         for j in range(F.k):
             conv[:, :, i + j] += dA[:, :, i] @ dB[:, :, j]
+    return F._encode(F._reduce_digit_stack(conv % F.p))
+
+
+def hadamard_oracle(F, A, B):
+    if F.k == 1:
+        return (A * B) % F.p
+    dA, dB = F._decode(A), F._decode(B)
+    conv = np.zeros(A.shape + (2 * F.k - 1,), dtype=np.int64)
+    for i in range(F.k):
+        for j in range(F.k):
+            conv[..., i + j] += dA[..., i] * dB[..., j]
     return F._encode(F._reduce_digit_stack(conv % F.p))
 
 
@@ -813,16 +825,44 @@ def test_einsum_fallback_matches_the_blas_products(monkeypatch, F):
 
 
 @pytest.mark.parametrize("F", (field(2, 2), field(3, 2), field(2, 4),
-                               field(5, 2), field(2, 10)), ids=repr)
+                               field(5, 2), field(2, 10), field(3, 7),
+                               field(2, 12)), ids=repr)
 def test_multiplication_tables_match_scaled_rows(F):
-    # GF(9)'s modulus is x^2 + 1, so x is not primitive there
+    # GF(9)'s modulus is x^2 + 1, so x is not primitive there; GF(3^7) and
+    # GF(2^12) are larger than any field that had a full q x q table
     codes = np.arange(F.order, dtype=np.int64)
-    table = F._tables()
     rows = codes if F.order <= 256 else codes[::97]
-    for a in rows:
-        assert np.array_equal(table[a], F.scale(int(a), codes))
+    products = mat_mul_oracle(F, rows[:, None], codes[None, :])
+    assert np.array_equal(F.hadamard(rows[:, None], codes), products)
+    for a, expected in zip(rows, products):
+        assert np.array_equal(F.scale(int(a), codes), expected)
     assert np.array_equal(
-        table[codes[1:], F._inv_table[1:]], np.ones(F.order - 1))
+        F.hadamard(codes[1:], F.inverses[1:]), np.ones(F.order - 1))
+    assert F.inverses[0] == 0
+
+
+SMALL_FIELDS = [field(*gf.prime_power(q)) for q in range(2, 257)
+                if len(gf.factorize(q)) == 1]
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_generator_orders_and_powers_match_repeated_products(F):
+    # powers[e, a] = a^e, from e digit products per code
+    q = F.order
+    codes = np.arange(q, dtype=np.int64)
+    powers = [np.ones(q, dtype=np.int64)]
+    for _ in range(q - 1):
+        powers.append(hadamard_oracle(F, powers[-1], codes))
+    powers = np.array(powers)
+    orders = [int(np.argmax(powers[1:, a] == 1)) + 1 for a in range(1, q)]
+    assert [F.element_order(a) for a in range(1, q)] == orders
+    assert F.generator == 1 + orders.index(q - 1)
+    for e in (0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 3):
+        assert [F.pow(a, e) for a in range(q)] == (
+            [int(e == 0)] + powers[e % (q - 1), 1:].tolist())
+    for e in (-1, -5):
+        assert [F.pow(a, e) for a in range(1, q)] == (
+            powers[e % (q - 1), 1:].tolist())
 
 
 @pytest.mark.parametrize("F", (field(2), field(3), field(1048573)), ids=repr)

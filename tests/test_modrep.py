@@ -453,6 +453,23 @@ def test_flag_module_multiplicities_beyond_the_hom_space_cap(monkeypatch):
         (1, 3), (14, 3), (19, 3), (45, 1), (56, 3)]
 
 
+def test_multiplicity_of_searches_one_certificate_per_module(monkeypatch):
+    # a fresh copy of a 56-dimensional factor: its certificate is unknown
+    factors = young_factors(4, 2, 7, (1, 1, 1, 1))
+    M56 = next(f.module for f in factors if f.dim == 56)
+    M = GModule(M56.field, M56.mats, check=False)
+    searches = []
+
+    def counted(module):
+        searches.append(module)
+        return search(module)
+
+    search = meataxe._search_certificate
+    monkeypatch.setattr(meataxe, "_search_certificate", counted)
+    assert [multiplicity_of(M, factors) for _ in range(5)] == [3] * 5
+    assert searches == [M]
+
+
 @pytest.mark.parametrize("n, q, ell, mu0", [(4, 2, 7, (2, 2)),
                                             (3, 7, 19, (2, 1))])
 def test_socle_label_picks_out_the_steinberg_socle(n, q, ell, mu0,
