@@ -17,9 +17,11 @@ permutation-matrix representatives n_w.  On top of that this module offers:
   flags is G-invariant;
 * standard parabolic subgroups P = U_P x L for a composition of n, with
   canonical G/P coset data and Levi projections;
-* sharp Bruhat decomposition g = b * n_w * u with u in U_w, the subgroup
-  of U supported on the inversion positions of w (the triple is unique and
-  is verified on every call), for reports and tests;
+* the Bruhat cell of any element, read off the pivot rows of its canonical
+  flag, and the sharp Bruhat decomposition g = b * n_w * u with u in U_w,
+  the subgroup of U supported on the inversion positions of w, read off
+  the canonical flag u^-1 * n_{w^-1} of g^-1 (the triple is unique and is
+  verified on every call), for reports and tests;
 * linear characters of U that are nontrivial on every simple-root subgroup
   and trivial on the commutator subgroup [U, U], taking values in a small
   extension of the prime field of the coefficient side.
@@ -41,7 +43,8 @@ from .caps import MAX_FLAG_COUNT, MAX_UNIPOTENT
 from .combinat import gaussian_binomial
 from .coxeter import CoxeterGroup
 from .coxeter import build_weyl as _build_weyl
-from .gf import FiniteField, field_of_order, is_prime, prime_power
+from .gf import (FieldError, FiniteField, field_of_order, is_prime,
+                 prime_power)
 from .gf import inverse as mat_inverse
 
 __all__ = [
@@ -299,74 +302,33 @@ class GLGroup:
 
     # -- Bruhat decomposition ----------------------------------------------
 
-    def _monomialize(self, g):
-        """Left unit-upper row ops and right U column ops to a monomial form.
-
-        Returns (pivot rows r with r[j] the row of column j's entry, the
-        accumulated right factor R with g * R monomial).  Raises on singular
-        input.
-        """
-        F = self.field
-        n = self.n
-        A = np.array(g, dtype=np.int64, copy=True)
-        if A.shape != (n, n):
-            raise GroupError(f"expected a {n}x{n} matrix, got {A.shape}")
-        R = F.identity(n)
-        pivots = [-1] * n
-        for j in range(n):
-            nz = np.nonzero(A[:, j])[0]
-            if len(nz) == 0:
-                raise GroupError("singular matrix has no Bruhat decomposition")
-            r = int(nz[-1])
-            pivots[j] = r
-            inv_p = F.inv(int(A[r, j]))
-            for i in range(r):
-                c = int(A[i, j])
-                if c:
-                    f = F.mul(c, inv_p)
-                    A[i, :] = F.mat_sub(A[i:i + 1, :],
-                                        F.scale(f, A[r:r + 1, :]))[0]
-            for k in range(j + 1, n):
-                c = int(A[r, k])
-                if c:
-                    f = F.mul(c, inv_p)
-                    A[:, k] = F.mat_sub(A[:, k:k + 1],
-                                        F.scale(f, A[:, j:j + 1]))[:, 0]
-                    R[:, k] = F.mat_sub(R[:, k:k + 1],
-                                        F.scale(f, R[:, j:j + 1]))[:, 0]
-        return pivots, R
+    def _cells(self, flags) -> list:
+        """Weyl index of the Bruhat cell of each canonical flag in a stack:
+        the permutation its pivot rows spell."""
+        return [self.weyl.index[tuple(rows)]
+                for rows in _last_nonzero_rows(flags).tolist()]
 
     def weyl_of(self, g) -> int:
         """Index of the Weyl group element whose cell contains g."""
-        pivots, _ = self._monomialize(g)
-        return self.weyl.index[tuple(pivots)]
+        return self._cells(self.canonical_flag(np.asarray(g)[None]))[0]
 
     def bruhat(self, g) -> BruhatTriple:
-        """Factor g as b * n_w * u with b in B and u in U_w, verified."""
+        """Factor g as b * n_w * u with b in B and u in U_w, verified.
+
+        g = b * n_w * u gives g^-1 = u^-1 * n_{w^-1} * b^-1, and
+        u^-1 * n_{w^-1} is already the canonical flag of g^-1, so w is the
+        inverse of that flag's cell, u = (flag * n_w)^-1 and b = g * flag.
+        """
         F = self.field
-        n = self.n
-        pivots, R = self._monomialize(g)
-        w_tuple = tuple(pivots)
-        w = self.weyl.index[w_tuple]
-
-        # v is unit upper triangular; split v = u' * u with u' supported on
-        # the non-inversion positions and u on the inversions of w
-        v = mat_inverse(F, R)
-        inv_pos = set(self.inversion_positions(w))
-        z = F.identity(n)  # will hold u^{-1}
-        for d in range(1, n):
-            for a in range(n - d):
-                b_col = a + d
-                if (a, b_col) not in inv_pos:
-                    continue
-                val = 0
-                for c in range(a, b_col + 1):
-                    val = F.add(val, F.mul(int(v[a, c]), int(z[c, b_col])))
-                z[a, b_col] = F.neg(val)
-        u = mat_inverse(F, z)
-
+        try:
+            flag = self.canonical_flag(mat_inverse(F, g))
+        except FieldError:
+            raise GroupError(
+                "singular matrix has no Bruhat decomposition") from None
+        w = self.weyl.inverse(self._cells(flag[None])[0])
         n_w = self.weyl_rep(w)
-        b = self.field.mat_mul(g, mat_inverse(F, F.mat_mul(n_w, u)))
+        u = mat_inverse(F, F.mat_mul(flag, n_w))
+        b = F.mat_mul(g, flag)
         if not self.in_borel(b) or not self.in_u_w(u, w):
             raise GroupError("internal error: Bruhat factors failed checks")
         recon = F.mat_mul(b, F.mat_mul(n_w, u))
@@ -439,8 +401,7 @@ class GLGroup:
         """
         cs = self.cosets
         table = np.empty((cs.size, cs.size), dtype=np.int64)
-        table[0] = [self.weyl.index[tuple(rows)]
-                    for rows in _last_nonzero_rows(cs.reps).tolist()]
+        table[0] = self._cells(cs.reps)
         inv_perms = np.argsort(cs.gen_perms, axis=1)
         for c in range(1, cs.size):
             table[c] = table[cs.parent[c]][inv_perms[cs.parent_gen[c]]]

@@ -3,6 +3,8 @@
 Field elements are encoded as integers in [0, p^k): the base-p digits of the
 code are the coefficients of the residue polynomial, constant term first.
 Matrices are plain numpy int64 arrays of codes.  All results are exact.
+Elements add digit by digit: arrays through their decoded digit arrays,
+scalars on Python ints.
 
 How elements multiply: a prime field multiplies modulo p.  An extension
 field multiplies elementwise (scalars, `hadamard`, `scale`, inverses and
@@ -57,6 +59,9 @@ _FLOAT_EXACT = 1 << 53
 _FLOAT_MIN_MADDS = 1 << 15
 # the pivot search's first window of columns past an empty one
 _SCAN_WIDTH = 64
+# codes decoded at once while the log tables double: bounds the transient
+# digit arrays (all of GF(2^20)'s 2^19 at once raised peak RSS to 207 MB)
+_LOG_SLICE = 1 << 15
 
 
 class FieldError(ValueError):
@@ -164,7 +169,8 @@ class FiniteField:
         log[exp[i]] = i; log[0] is 0 and means nothing.
 
         exp doubles, exp[m:2m] = exp[:m] * g^m, and multiplying by the
-        fixed element g^m is a k x k linear map of the digits.
+        fixed element g^m is a k x k linear map of the digits, applied to
+        _LOG_SLICE codes at a time.
         """
         Fp = field(self.p)
         n = self.order - 1
@@ -175,7 +181,10 @@ class FiniteField:
             top = min(m, n - m)
             times = self._shifted_rows(
                 polynomials.powmod(Fp, g, m, self.modulus), range(self.k))
-            exp[m:m + top] = self._encode(self._decode(exp[:top]) @ times)
+            for lo in range(0, top, _LOG_SLICE):
+                hi = min(lo + _LOG_SLICE, top)
+                exp[m + lo:m + hi] = self._encode(
+                    self._decode(exp[lo:hi]) @ times)
             m *= 2
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n)
@@ -193,20 +202,29 @@ class FiniteField:
 
     # -- scalar arithmetic ------------------------------------------------
 
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b over an extension field, one base-p digit at a time."""
+        p = self.p
+        out, weight = 0, 1
+        for _ in range(self.k):
+            out += (a % p + sign * (b % p)) % p * weight
+            a, b, weight = a // p, b // p, weight * p
+        return int(out)
+
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return int(self.mat_add(a, b))
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        return int(self.mat_sub(a, b))
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return int(self.mat_neg(a))
+        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bngroup import GLGroup, build_gl
+from .bngroup import GLGroup, _left_multiply, _orbit_cosets, build_gl
 from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
 from .gf import (FiniteField, field, inverse, is_prime, kernel, rank, rref,
                  row_basis)
@@ -426,46 +426,35 @@ def hc_adjoint_hom_dims(G: GLGroup, composition, X: GModule,
 
 
 def group_elements(G: GLGroup) -> tuple:
-    """All group elements by breadth-first products of generators.
+    """All group elements, as the orbit of the identity under left
+    multiplication by the generators: the cosets of the trivial subgroup,
+    each keyed by its own matrix bytes and numbered breadth first like G/B
+    and G/P.
 
-    Returns (elements, index) with index keyed by matrix bytes; refuses
-    groups larger than MAX_REGULAR_ORDER.
+    Returns (elements, index): the (|G|, n, n) stack of elements and the
+    dict from an element's matrix bytes to its number.  Refuses groups
+    larger than MAX_REGULAR_ORDER.
     """
     if G.order_g > MAX_REGULAR_ORDER:
         raise ModuleCapError(
             f"group of order {G.order_g} exceeds the enumeration cap "
             f"{MAX_REGULAR_ORDER}")
-    F = G.field
-    start = G.identity_element()
-    elements = [start]
-    index = {start.tobytes(): 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in G.generators:
-                cand = F.mat_mul(gen, x)
-                key = cand.tobytes()
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(elements) != G.order_g:
-        raise ModRepError(
-            f"group enumeration found {len(elements)} elements, expected "
-            f"{G.order_g}")
-    return elements, index
+    cs = _orbit_cosets(G.field, G.generators, G.identity_element(),
+                       lambda stack: (stack, [x.tobytes() for x in stack]),
+                       G.order_g, "group")
+    return cs.reps, cs.index
 
 
 def _regular_module(G: GLGroup, F: FiniteField, elements,
                     index) -> GModule:
     """The regular permutation module of G over F, on the basis
-    `elements` with the `index` of `group_elements(G)`: g sends x to gx."""
+    `elements` with the `index` of `group_elements(G)`: g sends x to gx,
+    for all x in one stacked product."""
     Fq = G.field
 
     def perm_of(g):
-        return np.array([index[Fq.mat_mul(g, x).tobytes()] for x in elements],
+        return np.array([index[x.tobytes()]
+                         for x in _left_multiply(Fq, g, elements)],
                         dtype=np.int64)
 
     return _permutation_module(

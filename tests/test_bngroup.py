@@ -8,6 +8,7 @@ import pytest
 
 from steinberg.bngroup import GroupError, build_gl
 from steinberg.gf import inverse as mat_inverse
+from test_kernel_oracles import weyl_of_oracle
 
 
 def test_orders():
@@ -117,6 +118,18 @@ def test_bruhat_cells_partition_the_group():
     assert sum(counts.values()) == G.order_g
 
 
+def test_singular_and_misshapen_input_raise_group_error():
+    G = build_gl(3, 3)
+    singular = G.field.asarray([[1, 2, 0], [0, 1, 0], [2, 1, 0]])
+    rank_two = G.field.asarray([[1, 1, 2], [0, 1, 1], [1, 2, 0]])
+    for g in (singular, rank_two, G.field.zeros((3, 3)),
+              G.field.identity(2), G.field.zeros((3, 2))):
+        with pytest.raises(GroupError):
+            G.bruhat(g)
+        with pytest.raises(GroupError):
+            G.weyl_of(g)
+
+
 def test_reversed_decomposition_via_inverse():
     for n, q in [(3, 2), (2, 3)]:
         G = build_gl(n, q)
@@ -200,11 +213,12 @@ def test_cell_table():
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_cell_table_matches_pairwise_bruhat_cells(n, q):
-    # reference: the Bruhat cell of rep_i^{-1} rep_j for every pair of flags
+    # reference: the Bruhat cell of rep_i^{-1} rep_j for every pair of
+    # flags, from the monomial form rather than the canonical flag
     G = build_gl(n, q)
     reps = G.cosets.reps
     expected = np.array(
-        [[G.weyl_of(G.field.mat_mul(mat_inverse(G.field, a), b))
+        [[weyl_of_oracle(G, G.field.mat_mul(mat_inverse(G.field, a), b))
           for b in reps] for a in reps])
     assert np.array_equal(G.cell_table, expected)
 

@@ -5,6 +5,8 @@ Expected values are small enough to verify by hand; the structural checks
 oracles for the implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,32 @@ def test_field_axioms_sampled():
                 assert F.mul(a, F.inv(a)) == 1
             # Frobenius is additive
             assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+
+
+@pytest.mark.parametrize("q", (4, 8, 9, 25, 27))
+def test_scalar_sums_match_array_sums_on_every_pair(q):
+    F = field_of_order(q)
+    codes = np.arange(q)
+    add = F.mat_add(codes[:, None], codes[None, :])
+    sub = F.mat_sub(codes[:, None], codes[None, :])
+    assert [[F.add(a, b) for b in range(q)] for a in range(q)] == add.tolist()
+    assert [[F.sub(a, b) for b in range(q)] for a in range(q)] == sub.tolist()
+    assert [F.neg(a) for a in range(q)] == F.mat_neg(codes).tolist()
+
+
+def test_log_tables_of_a_large_field_build_in_bounded_memory():
+    # the doublings decode a slice of codes at a time; decoding a whole
+    # half of GF(2^20) at once peaked near 11 times the final tables
+    F = gf.FiniteField(2, 20, field(2, 20).modulus)
+    tracemalloc.start()
+    try:
+        exp, log = F._logs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (exp.nbytes + log.nbytes)
+    assert np.array_equal(np.sort(exp), np.arange(1, F.order))
+    assert np.array_equal(exp[log[exp]], exp)
 
 
 def test_generator_spans_units():

@@ -22,8 +22,11 @@ over an extension field came from products of base-p digits reduced by
 the modulus, not from discrete-log tables, `canonical_flag` canonicalized one
 flag at a time, the flag and G/P orbits moved one coset by one generator
 at a time, `coset_permutation` on G/B composed memoized permutations of
-the Bruhat factors of g, and the G/P action keyed one representative at a
-time from row-reduced bases of its prefix column spans.  Every
+the Bruhat factors of g, the G/P action keyed one representative at a
+time from row-reduced bases of its prefix column spans, the Bruhat cell
+and decomposition came from a scalar elimination to a monomial matrix and
+a triangular solve for the unipotent factor, and G itself was enumerated
+one product at a time, as was its regular action.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -489,11 +492,99 @@ def flag_cosets_oracle(G):
                                canon)
 
 
+def monomialize_oracle(G, g):
+    """Left unit-upper row ops and right U column ops to a monomial form.
+
+    Returns (pivot rows r with r[j] the row of column j's entry, the
+    accumulated right factor R with g * R monomial).  Raises on singular
+    input.
+    """
+    F = G.field
+    n = G.n
+    A = np.array(g, dtype=np.int64, copy=True)
+    if A.shape != (n, n):
+        raise GroupError(f"expected a {n}x{n} matrix, got {A.shape}")
+    R = F.identity(n)
+    pivots = [-1] * n
+    for j in range(n):
+        nz = np.nonzero(A[:, j])[0]
+        if len(nz) == 0:
+            raise GroupError("singular matrix has no Bruhat decomposition")
+        r = int(nz[-1])
+        pivots[j] = r
+        inv_p = F.inv(int(A[r, j]))
+        for i in range(r):
+            c = int(A[i, j])
+            if c:
+                f = F.mul(c, inv_p)
+                A[i, :] = F.mat_sub(A[i:i + 1, :],
+                                    F.scale(f, A[r:r + 1, :]))[0]
+        for k in range(j + 1, n):
+            c = int(A[r, k])
+            if c:
+                f = F.mul(c, inv_p)
+                A[:, k] = F.mat_sub(A[:, k:k + 1],
+                                    F.scale(f, A[:, j:j + 1]))[:, 0]
+                R[:, k] = F.mat_sub(R[:, k:k + 1],
+                                    F.scale(f, R[:, j:j + 1]))[:, 0]
+    return pivots, R
+
+
+def weyl_of_oracle(G, g):
+    pivots, _ = monomialize_oracle(G, g)
+    return G.weyl.index[tuple(pivots)]
+
+
+def bruhat_oracle(G, g):
+    """g * R monomial; split v = R^-1 = u' * u with u' on the
+    non-inversion positions of w and u on its inversions."""
+    F = G.field
+    n = G.n
+    pivots, R = monomialize_oracle(G, g)
+    w = G.weyl.index[tuple(pivots)]
+    v = inverse(F, R)
+    inv_pos = set(G.inversion_positions(w))
+    z = F.identity(n)  # will hold u^{-1}
+    for d in range(1, n):
+        for a in range(n - d):
+            b_col = a + d
+            if (a, b_col) not in inv_pos:
+                continue
+            val = 0
+            for c in range(a, b_col + 1):
+                val = F.add(val, F.mul(int(v[a, c]), int(z[c, b_col])))
+            z[a, b_col] = F.neg(val)
+    u = inverse(F, z)
+    b = F.mat_mul(g, inverse(F, F.mat_mul(G.weyl_rep(w), u)))
+    return b, w, u
+
+
+def group_elements_oracle(G):
+    """Breadth-first products of generators, one element at a time."""
+    F = G.field
+    start = G.identity_element()
+    elements = [start]
+    index = {start.tobytes(): 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in G.generators:
+                cand = F.mat_mul(gen, x)
+                key = cand.tobytes()
+                if key not in index:
+                    index[key] = len(elements)
+                    elements.append(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return elements, index
+
+
 def cell_table_oracle(G, cosets):
     """Row 0 from the Bruhat cells of the reps, the rest propagated."""
     size = cosets["size"]
     table = np.empty((size, size), dtype=np.int64)
-    table[0] = [G.weyl_of(rep) for rep in cosets["reps"]]
+    table[0] = [weyl_of_oracle(G, rep) for rep in cosets["reps"]]
     inv_perms = np.argsort(np.array(cosets["gen_perms"]), axis=1)
     for c in range(1, size):
         table[c] = table[cosets["parent"][c]][
@@ -528,7 +619,7 @@ def bruhat_permutation_oracle(G, cosets, memo, g):
                     out = entry(a, b, int(u[a, b]))[out]
         return out
 
-    b, w, u = G.bruhat(g)
+    b, w, u = bruhat_oracle(G, g)
     h = [int(c) for c in np.diagonal(b)]
     u_b = F.mat_mul(G.torus_element([F.inv(c) for c in h]), b)
     out = unipotent(u, np.arange(cosets["size"]))
@@ -1197,6 +1288,65 @@ def test_partial_flag_orbit_and_action_match_the_per_rep_loop(n, q):
         for g in samples:
             assert np.array_equal(P.coset_permutation(g),
                                   parabolic_permutation_oracle(P, old, g))
+
+
+# -- Bruhat cells and G itself against the monomial form and the BFS loop ---
+
+
+def _all_matrices(G):
+    for codes in product(range(G.q), repeat=G.n * G.n):
+        yield np.array(codes, dtype=np.int64).reshape(G.n, G.n)
+
+
+def _assert_same_bruhat(G, g):
+    try:
+        expected = bruhat_oracle(G, g)
+    except GroupError:
+        with pytest.raises(GroupError):
+            G.bruhat(g)
+        with pytest.raises(GroupError):
+            G.weyl_of(g)
+        return False
+    b, w, u = G.bruhat(g)
+    assert w == expected[1] == G.weyl_of(g)
+    assert np.array_equal(b, expected[0])
+    assert np.array_equal(u, expected[2])
+    return True
+
+
+@pytest.mark.parametrize("n, q", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)],
+                         ids=str)
+def test_bruhat_matches_the_monomial_form_on_every_matrix(n, q):
+    G = build_gl(n, q)
+    found = sum(_assert_same_bruhat(G, g) for g in _all_matrices(G))
+    assert found == G.order_g
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2), (3, 4), (3, 5)], ids=str)
+def test_bruhat_matches_the_monomial_form_on_seeded_samples(n, q):
+    G = build_gl(n, q)
+    rng = np.random.default_rng(1517)
+    found = 0
+    while found < 500:
+        found += _assert_same_bruhat(
+            G, G.field.random_matrix(rng, (n, n)))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)],
+                         ids=str)
+def test_group_orbit_matches_the_breadth_first_loop(n, q):
+    G = build_gl(n, q)
+    old_elements, old_index = group_elements_oracle(G)
+    elements, index = group_elements(G)
+    assert len(elements) == len(old_elements) == G.order_g
+    for x, old in zip(elements, old_elements, strict=True):
+        assert np.array_equal(x, old)
+    assert index == old_index
+    regular = _regular_module(G, field(7), elements, index)
+    F = G.field
+    for g in list(G.generators) + old_elements[::37]:
+        assert regular.perm_of(g).tolist() == [
+            old_index[F.mat_mul(g, x).tobytes()] for x in old_elements]
 
 
 # -- Harish-Chandra induction against the per-coset decomposition ------------
