@@ -12,6 +12,16 @@ distinct irreducible factors lowest degree first, so the MeatAxe's Norton
 test pays only for the degrees it tries; `factor` (multiplicities by
 repeated division) and `is_irreducible_poly` (the first factor is f
 itself) are built on it.
+
+The distinct-degree loop runs on numpy arrays of codes, for every field.
+Raising to the q-th power is GF(q)-linear, so each modulus f of degree n
+gets one n x n Frobenius matrix, whose row i is x^(q i) mod f, built by
+doubling with matrix products; each degree then costs one vector-matrix
+product for x^(q^d) mod f and one Euclid on arrays for its gcd with f.
+Products of list polynomials cost O(n^2) scalar operations in Python,
+which dense Norton samples, with certifying factors of degree in the
+hundreds, cannot afford.  Cantor-Zassenhaus and the division of factors
+out of f stay on lists: they see only the products they split.
 """
 
 from __future__ import annotations
@@ -82,18 +92,19 @@ def divmod_poly(F: FiniteField, f, g):
     g = trim(list(g))
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = trim(list(f))
+    f = list(f)
     dg = degree(g)
     inv_lead = F.inv(g[-1])
     q = [0] * max(len(f) - dg, 0)
-    while degree(f) >= dg:
-        d = degree(f)
-        c = F.mul(f[-1], inv_lead)
+    # d walks down the dividend's degree in place: no step re-slices f
+    for d in range(len(f) - 1, dg - 1, -1):
+        if f[d] == 0:
+            continue
+        c = F.mul(f[d], inv_lead)
         q[d - dg] = c
         for i, b in enumerate(g):
             f[d - dg + i] = F.sub(f[d - dg + i], F.mul(c, b))
-        f = trim(f)
-    return trim(q), f
+    return trim(q), trim(f[:dg])
 
 
 def mod(F: FiniteField, f, g):
@@ -176,6 +187,90 @@ def _split_equal_degree(F: FiniteField, f, d: int, rng) -> list[list[int]]:
             return left + right
 
 
+def _trimmed(a: np.ndarray) -> np.ndarray:
+    """A code array without its trailing zeros (a view)."""
+    end = a.size
+    while end and a[end - 1] == 0:
+        end -= 1
+    return a[:end]
+
+
+def _gcd_codes(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Monic gcd of two polynomials given as code arrays: Euclid with one
+    array update per quotient coefficient."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b.size:
+        b = F.scale(F.inv(int(b[-1])), b)
+        a = a.copy()
+        while a.size >= b.size:
+            s = a.size - b.size
+            a[s:] = F.sub_outer(a[s:], a[-1:], b)[0]
+            a = _trimmed(a)
+        a, b = b, a
+    return F.scale(F.inv(int(a[-1])), a) if a.size else a
+
+
+def _mulmod_rows(F: FiniteField, A: np.ndarray, b: np.ndarray,
+                 fold: np.ndarray) -> np.ndarray:
+    """Each row of A times b, modulo the f of `_fold_rows`: one product by
+    the Toeplitz matrix of b, then one by `fold` for the high half."""
+    n = b.size
+    padded = np.zeros(3 * n - 2, dtype=np.int64)
+    padded[n - 1:2 * n - 1] = b
+    # row i holds b shifted up by i: the matrix of a -> a * b
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1)[::-1]
+    P = F.mat_mul(A, toeplitz)
+    return F.mat_add(P[:, :n], F.mat_mul(P[:, n:], fold))
+
+
+def _fold_rows(F: FiniteField, f: np.ndarray) -> np.ndarray:
+    """Rows x^(n+t) mod f for t < n - 1, for monic f of degree n >= 2.
+
+    A product of two residues has degree at most 2n - 2; these rows fold
+    its coefficients of degree n and up back below n.  Row t + 1 is row t
+    times x: shifted up, with its top coefficient folded by row 0.
+    """
+    n = f.size - 1
+    fold = np.zeros((n - 1, n), dtype=np.int64)
+    fold[0] = F.mat_neg(f[:n])
+    for t in range(n - 2):
+        fold[t + 1, 1:] = fold[t, :-1]
+        fold[t + 1] = F.mat_add(fold[t + 1],
+                                F.scale(int(fold[t, -1]), fold[0]))
+    return fold
+
+
+def _frobenius_rows(F: FiniteField, f: np.ndarray) -> np.ndarray:
+    """The matrix of h -> h^q mod f for monic f of degree n >= 2: row i is
+    x^(q i) mod f, since h^q = sum h_i x^(q i) over GF(q).
+
+    Row 1 is x^q by square and multiply; rows m..2m-1 are rows 0..m-1
+    times x^(q m), the square of row m/2, one `_mulmod_rows` per doubling.
+    """
+    n = f.size - 1
+    fold = _fold_rows(F, f)
+
+    def times(a, b):
+        return _mulmod_rows(F, a.reshape(1, -1), b, fold)[0]
+
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[0, 0] = 1
+    x = np.roll(Q[0], 1)
+    beta = Q[0]
+    for bit in bin(F.order)[2:]:
+        beta = times(beta, beta)
+        if bit == "1":
+            beta = times(beta, x)
+    Q[1] = beta
+    m = 2
+    while m < n:
+        top = min(m, n - m)
+        Q[m:m + top] = _mulmod_rows(F, Q[:top], times(Q[m // 2], Q[m // 2]),
+                                    fold)
+        m *= 2
+    return Q
+
+
 def irreducible_factors(F: FiniteField, f, rng=None):
     """Yield the distinct monic irreducible factors of f, lowest degree first.
 
@@ -183,23 +278,33 @@ def irreducible_factors(F: FiniteField, f, rng=None):
     degree-d factors is gcd(x^(q^d) - x, f), split by Cantor-Zassenhaus and
     yielded in sorted order; every power of them is divided out of f before
     d grows, so once deg f < 2(d + 1) what is left is irreducible.  A caller
-    that stops early pays only for the degrees it reached.
+    that stops early pays only for the degrees it reached.  The loop runs on
+    code arrays: each modulus f gets one Frobenius matrix, each degree one
+    vector-matrix product for x^(q^d) mod f and one array Euclid.
     """
     if rng is None:
         rng = np.random.default_rng(0x5EED)
     f = monic(F, f)
     h = [0, 1]  # x^(q^d) mod f
+    modulus = None  # f as codes, with its Frobenius matrix
     d = 0
     while degree(f) >= 2 * (d + 1):
         d += 1
-        h = powmod(F, h, F.order, f)
-        g = gcd(F, sub(F, h, [0, 1]), f)
+        if modulus is None:
+            modulus = np.array(f, dtype=np.int64)
+            frobenius = _frobenius_rows(F, modulus)
+            h = np.array(h + [0] * (degree(f) - len(h)), dtype=np.int64)
+        h = F.mat_mul(h.reshape(1, -1), frobenius)[0]
+        moved = h.copy()
+        moved[1] = F.sub(int(moved[1]), 1)
+        g = _gcd_codes(F, moved, modulus).tolist()
         if degree(g) < 1:
             continue
         for irr in sorted(_split_equal_degree(F, g, d, rng)):
             yield irr
             f = _divide_out(F, f, irr)[0]
-        h = mod(F, h, f)
+        modulus = None
+        h = mod(F, h.tolist(), f)
     if degree(f) > 0:
         yield f
 

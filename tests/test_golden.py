@@ -1,8 +1,9 @@
-"""Verify output on the acceptance matrix, byte for byte against the
-recorded golden JSON (`perfbench/golden.json`, read only), also with the
-Bruhat decomposition switched off, and equal to it at other seeds once the
-reported seed is set back: no other field may depend on which Norton
-witnesses a seed finds."""
+"""Verify output on the acceptance matrix and the ladder rungs, byte for
+byte against the recorded golden JSON (`perfbench/golden.json`, read only),
+on the matrix also with the Bruhat decomposition switched off, and equal to
+it at other seeds once the reported seed is set back: no other field may
+depend on which Norton witnesses a seed finds.  One Norton sample almost
+always settles an irreducibility test on the ladder's Steinberg modules."""
 
 import contextlib
 import io
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from steinberg import cli
-from steinberg.bngroup import GLGroup
+from steinberg import cli, meataxe
+from steinberg.bngroup import GLGroup, build_gl
 from steinberg.meataxe import DEFAULT_SEED
+from steinberg.modrep import steinberg_module
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
@@ -21,6 +23,7 @@ GOLDEN = json.loads(
 
 MATRIX = [(2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
           (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13)]
+LADDER = [(3, 5, 2), (4, 2, 3)]
 
 
 def verify_stdout(n, q, ell, seed):
@@ -32,7 +35,7 @@ def verify_stdout(n, q, ell, seed):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("n,q,ell", MATRIX)
+@pytest.mark.parametrize("n,q,ell", MATRIX + LADDER)
 def test_verify_json_matches_golden(n, q, ell):
     assert (verify_stdout(n, q, ell, DEFAULT_SEED)
             == GOLDEN[f"verify {n} {q} {ell}"])
@@ -51,9 +54,31 @@ def test_verify_needs_no_bruhat_decomposition(n, q, ell, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 99])
-@pytest.mark.parametrize("n,q,ell", MATRIX)
+@pytest.mark.parametrize("n,q,ell", MATRIX + LADDER)
 def test_verify_json_is_seed_independent(n, q, ell, seed):
     payload = json.loads(verify_stdout(n, q, ell, seed))
     assert payload["seed"] == seed
     payload["seed"] = DEFAULT_SEED
     assert payload == json.loads(GOLDEN[f"verify {n} {q} {ell}"])
+
+
+def test_one_norton_sample_settles_almost_every_test_on_the_ladder(
+        monkeypatch):
+    samples, tests = [], []
+
+    def counted(fn, log, keep):
+        def wrapper(M, *args):
+            if keep(M):
+                log.append(M.dim)
+            return fn(M, *args)
+        return wrapper
+
+    monkeypatch.setattr(meataxe, "algebra_element", counted(
+        meataxe.algebra_element, samples, lambda M: True))
+    monkeypatch.setattr(meataxe, "is_irreducible", counted(
+        meataxe.is_irreducible, tests, lambda M: M.dim >= 2))
+    for n, q, ell in LADDER:
+        St = steinberg_module(build_gl(n, q), ell).module
+        for seed in range(10):
+            meataxe.composition_factors(St, seed)
+    assert tests and len(samples) <= 1.1 * len(tests)

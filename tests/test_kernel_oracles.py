@@ -25,12 +25,16 @@ at a time, `coset_permutation` on G/B composed memoized permutations of
 the Bruhat factors of g, the G/P action keyed one representative at a
 time from row-reduced bases of its prefix column spans, the Bruhat cell
 and decomposition came from a scalar elimination to a monomial matrix and
-a triangular solve for the unipotent factor, and G itself was enumerated
-one product at a time, as was its regular action.  Every
+a triangular solve for the unipotent factor, G itself was enumerated
+one product at a time, as was its regular action, the distinct-degree loop
+of `irreducible_factors` raised x^(q^d) by list `powmod` and took list
+gcds, `divmod_poly` trimmed its dividend at every step, and algebra words
+had two to four terms of one to three generators.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
-wherever the old one reached a verdict.
+wherever the old one reached a verdict, and both samplers the same
+composition factors.
 """
 
 from itertools import product
@@ -40,7 +44,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steinberg import gf, polynomials as poly
+from steinberg import gf, meataxe, polynomials as poly
 from steinberg.bngroup import GroupError, build_gl
 from steinberg.caps import (
     MAX_DENSE_DIM,
@@ -93,6 +97,7 @@ from steinberg.modrep import (
     levi_generators,
     parabolic_perm_module,
     steinberg_element,
+    steinberg_module,
 )
 
 FIELDS = (field(2), field(3), field(2, 2), field(13))
@@ -363,6 +368,54 @@ def factor_oracle(F, f):
                 found[tuple(irr)] = found.get(tuple(irr), 0) + e
     return [(list(k), m) for k, m in
             sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+
+
+def divmod_poly_oracle(F, f, g):
+    g = poly.trim(list(g))
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = poly.trim(list(f))
+    dg = poly.degree(g)
+    inv_lead = F.inv(g[-1])
+    q = [0] * max(len(f) - dg, 0)
+    while poly.degree(f) >= dg:
+        d = poly.degree(f)
+        c = F.mul(f[-1], inv_lead)
+        q[d - dg] = c
+        for i, b in enumerate(g):
+            f[d - dg + i] = F.sub(f[d - dg + i], F.mul(c, b))
+        f = poly.trim(f)
+    return poly.trim(q), f
+
+
+def irreducible_factors_oracle(F, f, rng=None):
+    if rng is None:
+        rng = np.random.default_rng(0x5EED)
+    f = poly.monic(F, f)
+    h = [0, 1]  # x^(q^d) mod f
+    d = 0
+    while poly.degree(f) >= 2 * (d + 1):
+        d += 1
+        h = poly.powmod(F, h, F.order, f)
+        g = poly.gcd(F, poly.sub(F, h, [0, 1]), f)
+        if poly.degree(g) < 1:
+            continue
+        for irr in sorted(poly._split_equal_degree(F, g, d, rng)):
+            yield irr
+            f = poly._divide_out(F, f, irr)[0]
+        h = poly.mod(F, h, f)
+    if poly.degree(f) > 0:
+        yield f
+
+
+def random_word_oracle(M, rng):
+    gens = len(M._gens)
+    word = []
+    for _ in range(int(rng.integers(2, 5))):
+        letters = tuple(int(rng.integers(gens))
+                        for _ in range(int(rng.integers(1, 4))) if gens)
+        word.append((1 + int(rng.integers(M.field.order - 1)), letters))
+    return tuple(word)
 
 
 def poly_eval_oracle(F, coeffs, x):
@@ -709,14 +762,14 @@ def modules_and_seeds(draw):
 
 
 @st.composite
-def polynomials_with_repeats(draw):
+def polynomials_with_repeats(draw, fields=FIELDS):
     """A polynomial of degree at most 12, often with repeated factors.
 
     Either arbitrary coefficients (the zero polynomial and constants
     included) or a nonzero constant times a product of random monic
     polynomials of degree 1-4, each raised to a power 1-3.
     """
-    F = draw(st.sampled_from(FIELDS))
+    F = draw(st.sampled_from(fields))
     coeff = st.integers(0, F.order - 1)
     if draw(st.booleans()):
         return F, draw(st.lists(coeff, max_size=MAX_POLY_DEGREE + 1))
@@ -1088,6 +1141,71 @@ def test_factor_matches_oracle(case):
     if poly.degree(poly.trim(f)) >= 1:
         assert poly.is_irreducible_poly(F, f) == (
             len(old) == 1 and old[0][1] == 1)
+
+
+# the distinct-degree loop on arrays against the list loop, over prime and
+# extension fields of both parities
+POLY_FIELDS = (field(2), field(3), field(5), field(13), field(2, 2),
+               field(2, 3), field(3, 2))
+
+
+@SETTINGS
+@given(polynomials_with_repeats(POLY_FIELDS))
+def test_irreducible_factors_match_the_list_loop(case):
+    F, f = case
+    assert (list(poly.irreducible_factors(F, f))
+            == list(irreducible_factors_oracle(F, f)))
+
+
+@pytest.mark.parametrize("F", POLY_FIELDS, ids=repr)
+def test_irreducible_factors_of_low_degrees_match_the_list_loop(F):
+    top = F.order - 1
+    for f in ([], [0, 0], [1], [top], [0, 1], [top, top], [1, 0, 0]):
+        assert (list(poly.irreducible_factors(F, f))
+                == list(irreducible_factors_oracle(F, f))), f
+
+
+@pytest.mark.parametrize("case", [(3, 5, 2), (4, 2, 3)], ids=str)
+def test_irreducible_factors_match_the_list_loop_on_ladder_charpolys(case):
+    # both samplers' elements of the Steinberg modules of the ladder rungs
+    M = steinberg_module(build_gl(*case[:2]), case[2]).module
+    F = M.field
+    for sampler in (meataxe._random_word, random_word_oracle):
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            cp = charpoly(F, meataxe._evaluate(M, sampler(M, rng)))
+            assert (list(poly.irreducible_factors(F, cp))
+                    == list(irreducible_factors_oracle(F, cp)))
+
+
+@SETTINGS
+@given(polynomials_with_repeats(POLY_FIELDS),
+       polynomials_with_repeats(POLY_FIELDS))
+def test_divmod_matches_the_trimming_loop(case, divisor):
+    F, f = case
+    g = [c % F.order for c in divisor[1]][:4]
+    if not poly.trim(g):
+        with pytest.raises(ZeroDivisionError):
+            poly.divmod_poly(F, f, g)
+        return
+    assert poly.divmod_poly(F, f, g) == divmod_poly_oracle(F, f, g)
+    assert poly.divmod_poly(F, f + [0, 0], g) == divmod_poly_oracle(F, f, g)
+
+
+# the Steinberg modules of the acceptance matrix and of both ladder rungs
+ST_CASES = ((2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
+            (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13), (3, 5, 2), (4, 2, 3))
+
+
+@pytest.mark.parametrize("case", ST_CASES, ids=str)
+def test_both_samplers_give_the_same_composition_factors(case, monkeypatch):
+    M = steinberg_module(build_gl(*case[:2]), case[2]).module
+    found = []
+    for sampler in (meataxe._random_word, random_word_oracle):
+        monkeypatch.setattr(meataxe, "_random_word", sampler)
+        dims = sorted(f.dim for f in composition_factors(M))
+        found.append((is_irreducible(M)[0], dims))
+    assert found[0] == found[1]
 
 
 @SETTINGS

@@ -342,14 +342,16 @@ def test_factors_of_distinct_dimensions_need_no_certificate(monkeypatch):
 
 
 def test_recorded_words_replay_the_sampled_elements():
-    # the word draws exactly what the old sampler drew, so seeded Norton
-    # results do not move
+    # a recorded word is the element algebra_element draws from the same
+    # rng state, and drawing it leaves the rng where algebra_element does;
+    # the words have six to eight terms of two to five letters, so seeded
+    # witnesses are those of these words, not of any earlier sampler
     M = s3_permutation_module(F3)
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(5):
         word = meataxe._random_word(M, rng_a)
-        assert 2 <= len(word) <= 4
-        assert all(1 <= c < F3.order and 1 <= len(letters) <= 3
+        assert 6 <= len(word) <= 8
+        assert all(1 <= c < F3.order and 2 <= len(letters) <= 5
                    for c, letters in word)
         assert np.array_equal(algebra_element(M, rng_b),
                               meataxe._evaluate(M, word))
