@@ -14,7 +14,10 @@ and built on first use; a product is exp[(log a + log b) mod (q - 1)], and
 0 where a factor is 0.  Every field also reads `element_order` and its
 `inverses` array from these tables.  A matrix product over an extension
 field convolves the base-p digits of its factors, one integer product per
-pair of digits, and reduces the convolution by the modulus.
+pair of digits, and reduces the convolution by the rows x^(k+t) mod the
+modulus.  Those rows are `polynomials._fold_rows`, and each doubling of
+the log tables multiplies by g^m modulo the modulus through
+`polynomials._mulmod_rows`.
 
 Floats appear only inside a matrix product whose every dot product is
 bounded below 2**53, where float64 sums of integers are exact.  That
@@ -136,21 +139,9 @@ class FiniteField:
         self.zero = 0
         self.one = 1
         self._pows = np.array([p ** i for i in range(k)], dtype=np.int64)
-        if k > 1:
-            # reduction rows: row m is x^(k+m) in the power basis
-            self._red = self._shifted_rows([1], range(k, 2 * k - 1))
-
-    def _poly(self, a: int) -> list[int]:
-        """The residue polynomial of a code, as a `polynomials` list over GF(p)."""
-        return polynomials.trim(self._decode(a).tolist())
-
-    def _shifted_rows(self, c: list[int], shifts) -> np.ndarray:
-        """Digits of x^s * c mod the modulus, one row per s, for a
-        polynomial c over GF(p)."""
-        Fp = field(self.p)
-        rows = [polynomials.mod(Fp, [0] * s + c, self.modulus) for s in shifts]
-        return np.array([r + [0] * (self.k - len(r)) for r in rows],
-                        dtype=np.int64)
+        # reduction rows: row m is x^(k+m) in the power basis (none for k = 1)
+        self._red = polynomials._fold_rows(
+            self if k == 1 else field(p), np.array(modulus, dtype=np.int64))
 
     @functools.cached_property
     def generator(self) -> int:
@@ -160,7 +151,8 @@ class FiniteField:
         n = self.order - 1
         primes = list(factorize(n))
         return next(g for g in range(1, self.order) if all(
-            polynomials.powmod(Fp, self._poly(g), n // r, self.modulus) != [1]
+            polynomials.powmod(Fp, self._decode(g), n // r,
+                               self.modulus).tolist() != [1]
             for r in primes))
 
     @functools.cached_property
@@ -169,22 +161,24 @@ class FiniteField:
         log[exp[i]] = i; log[0] is 0 and means nothing.
 
         exp doubles, exp[m:2m] = exp[:m] * g^m, and multiplying by the
-        fixed element g^m is a k x k linear map of the digits, applied to
-        _LOG_SLICE codes at a time.
+        fixed element g^m is a k x k linear map of the digits, whose row s
+        is x^s g^m mod the modulus, applied to _LOG_SLICE codes at a time;
+        its row 0, g^m, squared through the map gives g^(2m).
         """
         Fp = field(self.p)
         n = self.order - 1
-        g = self._poly(self.generator)
+        power = self._decode(self.generator)  # digits of g^m
         exp = np.ones(n, dtype=np.int64)
         m = 1
         while m < n:
             top = min(m, n - m)
-            times = self._shifted_rows(
-                polynomials.powmod(Fp, g, m, self.modulus), range(self.k))
+            times = polynomials._mulmod_rows(
+                Fp, np.eye(self.k, dtype=np.int64), power, self._red)
             for lo in range(0, top, _LOG_SLICE):
                 hi = min(lo + _LOG_SLICE, top)
                 exp[m + lo:m + hi] = self._encode(
                     self._decode(exp[lo:hi]) @ times)
+            power = Fp.mat_mul(power.reshape(1, -1), times)[0]
             m *= 2
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n)
@@ -567,14 +561,14 @@ def inverse(F: FiniteField, A) -> np.ndarray:
     return R[:, n:]
 
 
-def charpoly(F: FiniteField, A) -> list[int]:
-    """Coefficients of det(tI - A), ascending, monic (length n+1)."""
+def charpoly(F: FiniteField, A) -> np.ndarray:
+    """Code array of det(tI - A), ascending, monic (length n+1)."""
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     if A.shape != (n, n):
         raise FieldError("charpoly expects a square matrix")
     if n == 0:
-        return [1]
+        return np.ones(1, dtype=np.int64)
     H = A.copy()
     # reduce to upper Hessenberg form by exact similarity transforms: one
     # rank-1 transform per column, H -> L H L^-1 with L = I - f e_{c+1}^T
@@ -607,7 +601,7 @@ def charpoly(F: FiniteField, A) -> list[int]:
             coefs = F.hadamard(H[: m - 1, m - 1], betas).reshape(1, -1)
             cur = F.mat_sub(cur, F.mat_mul(coefs, P[: m - 1])[0])
         P[m] = cur
-    return [int(x) for x in P[n]]
+    return P[n]
 
 
 def reduce_mod_rowspace(F: FiniteField, basis, pivots, v):

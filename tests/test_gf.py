@@ -81,6 +81,21 @@ def test_moduli_are_pinned():
         assert field(p, k).modulus == modulus
 
 
+# every extension field of order at most 256, and the largest field
+REDUCTION_FIELDS = [(p, k) for p in range(2, 17) if gf.is_prime(p)
+                    for k in range(2, 9) if p ** k <= 256] + [(2, 20)]
+
+
+@pytest.mark.parametrize("p, k", REDUCTION_FIELDS, ids=str)
+def test_reduction_rows_are_the_powers_of_x_past_the_modulus(p, k):
+    # row t of F._red is x^(k+t) mod the modulus, by long division over GF(p)
+    F, Fp = field(p, k), field(p)
+    assert F._red.shape == (k - 1, k)
+    for t, row in enumerate(F._red):
+        rem = poly.mod(Fp, [0] * (k + t) + [1], F.modulus).tolist()
+        assert row.tolist() == rem + [0] * (k - len(rem))
+
+
 def test_prime_field_scalars():
     F = field(7)
     assert F.mul(3, 5) == 1
@@ -221,21 +236,21 @@ def test_kernel_known():
 
 def test_charpoly_zero_and_nilpotent():
     F = field(5)
-    assert charpoly(F, F.zeros((2, 2))) == [0, 0, 1]
-    assert charpoly(F, F.asarray([[0, 1], [0, 0]])) == [0, 0, 1]
+    assert charpoly(F, F.zeros((2, 2))).tolist() == [0, 0, 1]
+    assert charpoly(F, F.asarray([[0, 1], [0, 0]])).tolist() == [0, 0, 1]
 
 
 def test_charpoly_identity():
     F = field(7)
     # (t-1)^2 = t^2 - 2t + 1
-    assert charpoly(F, F.identity(2)) == [1, 5, 1]
+    assert charpoly(F, F.identity(2)).tolist() == [1, 5, 1]
 
 
 def test_charpoly_companion():
     # companion matrix of t^3 + 2t + 1 over GF(5)
     F = field(5)
     A = F.asarray([[0, 0, 4], [1, 0, 3], [0, 1, 0]])
-    assert charpoly(F, A) == [1, 2, 0, 1]
+    assert charpoly(F, A).tolist() == [1, 2, 0, 1]
 
 
 def test_cayley_hamilton_sampled():
@@ -289,34 +304,41 @@ def test_poly_divmod():
     f = [1, 0, 3, 1]       # 1 + 3t^2 + t^3
     g = [2, 1]             # 2 + t
     q, r = poly.divmod_poly(F, f, g)
-    assert poly.add(F, poly.mul(F, q, g), r) == f
+    assert poly.add(F, poly.mul(F, q, g), r).tolist() == f
 
 
 def test_poly_gcd():
     F = field(5)
     f = poly.mul(F, [1, 1], [2, 1])
     g = poly.mul(F, [1, 1], [3, 1])
-    assert poly.gcd(F, f, g) == [1, 1]
+    assert poly.gcd(F, f, g).tolist() == [1, 1]
+
+
+def _factored(factors):
+    """`poly.factor` output with its factors as lists."""
+    return [(g.tolist(), m) for g, m in factors]
 
 
 def test_factor_gf2():
     F = field(2)
-    assert poly.factor(F, [1, 1, 1]) == [([1, 1, 1], 1)]          # irreducible
-    assert poly.factor(F, [0, 0, 1]) == [([0, 1], 2)]             # x^2
-    assert poly.factor(F, [1, 0, 1]) == [([1, 1], 2)]             # (x+1)^2
+    assert _factored(poly.factor(F, [1, 1, 1])) == [([1, 1, 1], 1)]  # irred.
+    assert _factored(poly.factor(F, [0, 0, 1])) == [([0, 1], 2)]     # x^2
+    assert _factored(poly.factor(F, [1, 0, 1])) == [([1, 1], 2)]     # (x+1)^2
     # x^4 + x = x (x+1) (x^2+x+1)
-    assert poly.factor(F, [0, 1, 0, 0, 1]) == [([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]
+    assert _factored(poly.factor(F, [0, 1, 0, 0, 1])) == [
+        ([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]
 
 
 def test_factor_gf3_and_gf4():
     F3 = field(3)
-    assert poly.factor(F3, [1, 0, 1]) == [([1, 0, 1], 1)]         # t^2+1 irreducible mod 3
-    assert poly.factor(F3, [2, 0, 1]) == [([1, 1], 1), ([2, 1], 1)]
+    # t^2+1 irreducible mod 3
+    assert _factored(poly.factor(F3, [1, 0, 1])) == [([1, 0, 1], 1)]
+    assert _factored(poly.factor(F3, [2, 0, 1])) == [([1, 1], 1), ([2, 1], 1)]
     F4 = field(2, 2)
     # t^2 + t + 1 splits over GF(4): roots are the two primitive cube roots
     fac = poly.factor(F4, [1, 1, 1])
     assert [m for _, m in fac] == [1, 1]
-    assert sorted(f[0] for f, _ in fac) == [2, 3]
+    assert sorted(f[0] for f, _ in _factored(fac)) == [2, 3]
 
 
 def test_factor_reconstructs():
@@ -330,7 +352,36 @@ def test_factor_reconstructs():
                 assert g[-1] == 1
                 for _ in range(m):
                     prod = poly.mul(F, prod, g)
-            assert prod == poly.trim(f)
+            assert prod.tolist() == poly.trim(f).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_factor_matches_sympy_gf_factor(p):
+    # an independent factorization: sympy's, on dense lists with the leading
+    # coefficient first; half the inputs carry a squared factor
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    F = field(p)
+    rng = np.random.default_rng(80 + p)
+
+    def draw(top):
+        """A random polynomial of degree 1 to top, nonzero lead."""
+        f = rng.integers(0, p, int(rng.integers(1, top + 1)) + 1)
+        f[-1] = 1 + rng.integers(p - 1)
+        return f
+
+    for case in range(12):
+        if case % 2:
+            g = draw(20)
+            f = poly.mul(F, draw(80 - 2 * poly.degree(g)), poly.mul(F, g, g))
+        else:
+            f = draw(80)
+        lead, factors = galoistools.gf_factor(f[::-1].tolist(), p, ZZ)
+        assert lead == f[-1]
+        expected = sorted(((g[::-1], m) for g, m in factors),
+                          key=lambda gm: (len(gm[0]), gm[0]))
+        assert _factored(poly.factor(F, f)) == expected
 
 
 def test_charpoly_factor_degrees_sum():

@@ -27,8 +27,9 @@ time from row-reduced bases of its prefix column spans, the Bruhat cell
 and decomposition came from a scalar elimination to a monomial matrix and
 a triangular solve for the unipotent factor, G itself was enumerated
 one product at a time, as was its regular action, the distinct-degree loop
-of `irreducible_factors` raised x^(q^d) by list `powmod` and took list
-gcds, `divmod_poly` trimmed its dividend at every step, and algebra words
+of `irreducible_factors` raised x^(q^d) by one `powmod` per degree and
+divided factors out by list long division, `divmod_poly` was that list
+division, trimming its dividend at every step, and algebra words
 had two to four terms of one to three generators.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
@@ -316,10 +317,11 @@ def squarefree_parts_oracle(F, f):
     out = []
     e = 1
     while poly.degree(f) > 0:
-        df = poly.trim([F.mul(F.from_int(i), f[i]) for i in range(1, len(f))])
-        if not df:
+        df = poly.trim([F.mul(F.from_int(i), int(f[i]))
+                        for i in range(1, len(f))])
+        if not df.size:
             # f is a polynomial in x^p: take a p-th root and retry
-            f = poly.trim([F.pow(f[i], F.order // F.p)
+            f = poly.trim([F.pow(int(f[i]), F.order // F.p)
                            for i in range(0, len(f), F.p)])
             e *= F.p
             continue
@@ -365,16 +367,17 @@ def factor_oracle(F, f):
     for sf, e in squarefree_parts_oracle(F, f):
         for block, d in distinct_degree_oracle(F, sf):
             for irr in poly._split_equal_degree(F, block, d, rng):
-                found[tuple(irr)] = found.get(tuple(irr), 0) + e
+                key = tuple(irr.tolist())
+                found[key] = found.get(key, 0) + e
     return [(list(k), m) for k, m in
             sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
 def divmod_poly_oracle(F, f, g):
-    g = poly.trim(list(g))
+    g = poly.trim(g).tolist()
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = poly.trim(list(f))
+    f = poly.trim(f).tolist()
     dg = poly.degree(g)
     inv_lead = F.inv(g[-1])
     q = [0] * max(len(f) - dg, 0)
@@ -384,8 +387,8 @@ def divmod_poly_oracle(F, f, g):
         q[d - dg] = c
         for i, b in enumerate(g):
             f[d - dg + i] = F.sub(f[d - dg + i], F.mul(c, b))
-        f = poly.trim(f)
-    return poly.trim(q), f
+        f = poly.trim(f).tolist()
+    return poly.trim(q).tolist(), f
 
 
 def irreducible_factors_oracle(F, f, rng=None):
@@ -400,12 +403,17 @@ def irreducible_factors_oracle(F, f, rng=None):
         g = poly.gcd(F, poly.sub(F, h, [0, 1]), f)
         if poly.degree(g) < 1:
             continue
-        for irr in sorted(poly._split_equal_degree(F, g, d, rng)):
+        for irr in sorted(part.tolist() for part in
+                          poly._split_equal_degree(F, g, d, rng)):
             yield irr
-            f = poly._divide_out(F, f, irr)[0]
+            # every power of irr, by list long division
+            quo, rem = divmod_poly_oracle(F, f, irr)
+            while not rem:
+                f = quo
+                quo, rem = divmod_poly_oracle(F, f, irr)
         h = poly.mod(F, h, f)
     if poly.degree(f) > 0:
-        yield f
+        yield poly.trim(f).tolist()
 
 
 def random_word_oracle(M, rng):
@@ -781,7 +789,7 @@ def polynomials_with_repeats(draw, fields=FIELDS):
             return F, f
         g = draw(st.lists(coeff, min_size=deg, max_size=deg)) + [1]
         for _ in range(power):
-            f = poly.mul(F, f, g)
+            f = poly.mul(F, f, g).tolist()
         if draw(st.booleans()):
             return F, f
 
@@ -849,11 +857,16 @@ def matrices_with_fixed_points(draw):
 # -- properties --------------------------------------------------------------
 
 
+def _listed(polys):
+    """Code arrays as lists, in order, to compare with the list oracles."""
+    return [f.tolist() for f in polys]
+
+
 @SETTINGS
 @given(square_matrices())
 def test_charpoly_matches_oracle(case):
     F, A = case
-    assert charpoly(F, A) == charpoly_oracle(F, A)
+    assert charpoly(F, A).tolist() == charpoly_oracle(F, A)
 
 
 @SETTINGS
@@ -1135,9 +1148,9 @@ def test_fixed_points_match_zassenhaus_oracle(case):
 def test_factor_matches_oracle(case):
     F, f = case
     old = factor_oracle(F, f)
-    assert poly.factor(F, f) == old
+    assert [(g.tolist(), m) for g, m in poly.factor(F, f)] == old
     # the oracle's list is sorted by degree, so this also checks the order
-    assert list(poly.irreducible_factors(F, f)) == [g for g, _ in old]
+    assert _listed(poly.irreducible_factors(F, f)) == [g for g, _ in old]
     if poly.degree(poly.trim(f)) >= 1:
         assert poly.is_irreducible_poly(F, f) == (
             len(old) == 1 and old[0][1] == 1)
@@ -1153,7 +1166,7 @@ POLY_FIELDS = (field(2), field(3), field(5), field(13), field(2, 2),
 @given(polynomials_with_repeats(POLY_FIELDS))
 def test_irreducible_factors_match_the_list_loop(case):
     F, f = case
-    assert (list(poly.irreducible_factors(F, f))
+    assert (_listed(poly.irreducible_factors(F, f))
             == list(irreducible_factors_oracle(F, f)))
 
 
@@ -1161,7 +1174,7 @@ def test_irreducible_factors_match_the_list_loop(case):
 def test_irreducible_factors_of_low_degrees_match_the_list_loop(F):
     top = F.order - 1
     for f in ([], [0, 0], [1], [top], [0, 1], [top, top], [1, 0, 0]):
-        assert (list(poly.irreducible_factors(F, f))
+        assert (_listed(poly.irreducible_factors(F, f))
                 == list(irreducible_factors_oracle(F, f))), f
 
 
@@ -1174,7 +1187,7 @@ def test_irreducible_factors_match_the_list_loop_on_ladder_charpolys(case):
         rng = np.random.default_rng(5)
         for _ in range(2):
             cp = charpoly(F, meataxe._evaluate(M, sampler(M, rng)))
-            assert (list(poly.irreducible_factors(F, cp))
+            assert (_listed(poly.irreducible_factors(F, cp))
                     == list(irreducible_factors_oracle(F, cp)))
 
 
@@ -1184,12 +1197,13 @@ def test_irreducible_factors_match_the_list_loop_on_ladder_charpolys(case):
 def test_divmod_matches_the_trimming_loop(case, divisor):
     F, f = case
     g = [c % F.order for c in divisor[1]][:4]
-    if not poly.trim(g):
+    if not poly.trim(g).size:
         with pytest.raises(ZeroDivisionError):
             poly.divmod_poly(F, f, g)
         return
-    assert poly.divmod_poly(F, f, g) == divmod_poly_oracle(F, f, g)
-    assert poly.divmod_poly(F, f + [0, 0], g) == divmod_poly_oracle(F, f, g)
+    old = list(divmod_poly_oracle(F, f, g))
+    assert _listed(poly.divmod_poly(F, f, g)) == old
+    assert _listed(poly.divmod_poly(F, f + [0, 0], g)) == old
 
 
 # the Steinberg modules of the acceptance matrix and of both ladder rungs

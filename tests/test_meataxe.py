@@ -105,7 +105,7 @@ def test_norton_evaluates_only_factors_of_the_characteristic_polynomial(
     assert {len(f) - 1 for _, f, _ in calls} >= {1, 2, 3}
     for F, f, A in calls:
         assert poly.is_irreducible_poly(F, f) and f[-1] == 1
-        assert poly.mod(F, charpoly(F, A), f) == []
+        assert poly.mod(F, charpoly(F, A), f).tolist() == []
 
 
 def _doubled(M):
