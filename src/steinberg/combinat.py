@@ -241,18 +241,7 @@ def gelfand_graev_head_cuspidal(n: int, e, ell: int) -> bool:
     """
     if n < 1:
         raise CombinatError("n must be at least 1")
-    if n == 1:
-        return True
-    if e == inf:
-        return False
-    part = int(e)
-    while part <= n:
-        if part == n:
-            return True
-        if ell == 0:
-            break
-        part *= ell
-    return False
+    return n == 1 or n in _special_parts(n, e, ell)
 
 
 # -- order bookkeeping helpers (shared with the group layer and tests) -------

@@ -12,12 +12,13 @@ powers) through one pair of discrete-log tables, exp[i] = g^i for the
 smallest-coded generator g and log[exp[i]] = i, each of at most q entries
 and built on first use; a product is exp[(log a + log b) mod (q - 1)], and
 0 where a factor is 0.  Every field also reads `element_order` and its
-`inverses` array from these tables.  A matrix product over an extension
-field convolves the base-p digits of its factors, one integer product per
-pair of digits, and reduces the convolution by the rows x^(k+t) mod the
-modulus.  Those rows are `polynomials._fold_rows`, and each doubling of
-the log tables multiplies by g^m modulo the modulus through
-`polynomials._mulmod_rows`.
+`inverses` array from these tables.  Every matrix product is one integer
+product and one reduction modulo p: over an extension field each entry b
+of the right factor becomes the k x k matrix of multiplication by b, whose
+row s holds the digits of x^s b, and the left factor's digits multiply
+those blocks.  The log tables double by multiplying by g^m modulo the
+modulus through `polynomials._mulmod_rows`, which folds by the rows
+x^(k+t) mod the modulus, `polynomials._fold_rows`.
 
 Floats appear only inside a matrix product whose every dot product is
 bounded below 2**53, where float64 sums of integers are exact.  That
@@ -260,8 +261,9 @@ class FiniteField:
         return (arr[..., None] // self._pows) % self.p
 
     def _encode(self, digits):
-        """(..., k) digits -> (...,) codes."""
-        return (np.asarray(digits, dtype=np.int64) % self.p) @ self._pows
+        """(..., k) digits of a fresh int64 array, reduced in place ->
+        (...,) codes."""
+        return self._mod(digits) @ self._pows
 
     def from_int(self, n: int) -> int:
         """Image of an integer under Z -> GF(p^k) (lands in the prime field)."""
@@ -343,15 +345,6 @@ class FiniteField:
             return self._mod(c * np.asarray(A))
         return self.hadamard(c, A)
 
-    def _reduce_digit_stack(self, conv):
-        """(..., 2k-1) coefficient stacks -> (..., k)."""
-        k = self.k
-        low = conv[..., :k].copy()
-        for m in range(k - 1):
-            c = conv[..., k + m]
-            low = (low + c[..., None] * self._red[m]) % self.p
-        return low
-
     def hadamard(self, A, B) -> np.ndarray:
         """Elementwise product of two arrays of codes, numpy-broadcast."""
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
@@ -372,24 +365,23 @@ class FiniteField:
         return self.mat_sub(X, self.hadamard(col.reshape(-1, 1), row))
 
     def mat_mul(self, A, B) -> np.ndarray:
+        """A @ B as one `_product` and one reduction.
+
+        Over GF(p^k) row s of block (j, c) of the right factor holds the
+        digits of x^s B[j, c], so the left factor's (m, n k) digit matrix
+        times that (n k, r k) matrix gives the (m, r, k) digits of A B.
+        """
         A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
         if self.k == 1:
             return self._mod(self._product(A, B))
-        dA = self._decode(A)  # (m, n, k)
-        dB = self._decode(B)  # (n, r, k)
-        m, n = A.shape
-        r = B.shape[1]
-        conv = np.zeros((m, r, 2 * self.k - 1), dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k):
-                conv[:, :, i + j] += self._product(dA[:, :, i], dB[:, :, j])
-        return self._encode(self._reduce_digit_stack(self._mod(conv)))
+        (m, n), r, k = A.shape, B.shape[1], self.k
+        blocks = self._decode(self.hadamard(B[:, None, :], self._pows[:, None]))
+        C = self._product(self._decode(A).reshape(m, n * k),
+                          blocks.reshape(n * k, r * k))
+        return self._encode(C.reshape(m, r, k))
 
     def mat_vec(self, A, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64)
-        if self.k == 1:
-            return self._mod(np.asarray(A, dtype=np.int64) @ v)
-        return self.mat_mul(A, v.reshape(-1, 1)).ravel()
+        return self.mat_mul(A, np.reshape(v, (-1, 1))).ravel()
 
     def random_matrix(self, rng, shape) -> np.ndarray:
         return rng.integers(0, self.order, size=shape, dtype=np.int64)

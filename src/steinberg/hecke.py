@@ -349,9 +349,8 @@ def _check_ell(G: GLGroup, ell: int) -> FiniteField:
 
 def act_on_borel_module(G: GLGroup, ell: int, w: int) -> np.ndarray:
     """Matrix of T_w on the flag basis over GF(ell)."""
-    F = _check_ell(G, ell)
-    table = G.cell_table
-    return np.array((table == w).T % F.p, dtype=np.int64)
+    _check_ell(G, ell)
+    return np.array((G.cell_table == w).T, dtype=np.int64)
 
 
 def alternating_sum_vector(G: GLGroup) -> np.ndarray:

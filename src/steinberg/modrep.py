@@ -121,7 +121,7 @@ def steinberg_element(G: GLGroup, ell: int, d: int = 1,
     """
     F = _module_field(G, ell, d)
     e = alternating_sum_vector(G) if alternating is None else alternating
-    return np.array([F.from_int(int(c)) for c in e], dtype=np.int64)
+    return (e % F.p).astype(np.int64)
 
 
 @dataclass

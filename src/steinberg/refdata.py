@@ -169,13 +169,7 @@ def select_lambda0(table: DecompositionTable) -> str:
 
 def first_hit_rows(table: DecompositionTable) -> frozenset[str]:
     """Labels of the first nonzero row of each column, in stored order."""
-    out = set()
-    for j in range(table.num_columns):
-        for i, row in enumerate(table.entries):
-            if row[j] != 0:
-                out.add(table.row_labels[i])
-                break
-    return frozenset(out)
+    return frozenset(column_owners(table))
 
 
 def bullet_rows(table: DecompositionTable) -> frozenset[str]:

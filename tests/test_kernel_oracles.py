@@ -140,26 +140,41 @@ def rref_oracle(F, A):
     return R, pivots
 
 
+def _digits(F, A):
+    """(...,) codes -> (..., k) base-p digits, constant term first."""
+    return (np.asarray(A)[..., None] // F.p ** np.arange(F.k)) % F.p
+
+
+def _fold(F, conv):
+    """(..., 2k-1) coefficient stacks -> (..., k) codes: coefficient k + t
+    folds onto the digits by the row x^(k+t) mod the modulus, `F._red[t]`
+    (checked against long division in test_gf.py)."""
+    low = conv[..., :F.k] % F.p
+    for t in range(F.k - 1):
+        low = (low + conv[..., F.k + t, None] * F._red[t]) % F.p
+    return low @ F.p ** np.arange(F.k)
+
+
 def mat_mul_oracle(F, A, B):
     if F.k == 1:
         return (A @ B) % F.p
-    dA, dB = F._decode(A), F._decode(B)
+    dA, dB = _digits(F, A), _digits(F, B)
     conv = np.zeros((A.shape[0], B.shape[1], 2 * F.k - 1), dtype=np.int64)
     for i in range(F.k):
         for j in range(F.k):
             conv[:, :, i + j] += dA[:, :, i] @ dB[:, :, j]
-    return F._encode(F._reduce_digit_stack(conv % F.p))
+    return _fold(F, conv)
 
 
 def hadamard_oracle(F, A, B):
     if F.k == 1:
         return (A * B) % F.p
-    dA, dB = F._decode(A), F._decode(B)
+    dA, dB = _digits(F, A), _digits(F, B)
     conv = np.zeros(A.shape + (2 * F.k - 1,), dtype=np.int64)
     for i in range(F.k):
         for j in range(F.k):
             conv[..., i + j] += dA[..., i] * dB[..., j]
-    return F._encode(F._reduce_digit_stack(conv % F.p))
+    return _fold(F, conv)
 
 
 def row_basis_oracle(F, A):
@@ -912,7 +927,8 @@ def test_rref_matches_oracle_across_scan_windows(F, gap):
 PRODUCT_SHAPES = ((0, 5, 7), (5, 0, 7), (3, 4, 5), (31, 32, 32),
                   (32, 32, 32), (200, 200, 1), (1, 200, 200), (64, 48, 80),
                   (2, 9000, 2))
-PRODUCT_FIELDS = FIELDS + (field(3, 2), field(1048573))
+PRODUCT_FIELDS = FIELDS + (field(3, 2), field(2, 8), field(5, 3), field(2, 10),
+                           field(1048573))
 
 
 @pytest.mark.parametrize("F", PRODUCT_FIELDS, ids=repr)
@@ -928,6 +944,36 @@ def test_mat_mul_matches_integer_products(F):
         assert np.array_equal(C, mat_mul_oracle(F, A, B))
         # a non-contiguous factor multiplies like its copy
         assert np.array_equal(F.mat_mul(B.T, A.T), C.T)
+
+
+@pytest.mark.parametrize("F", (field(13), field(2, 2), field(3, 2),
+                               field(2, 10)), ids=repr)
+@pytest.mark.parametrize("shape", ((3, 4, 5), (40, 40, 40), (5, 60, 1)),
+                         ids=str)
+def test_mat_mul_is_one_product_and_one_reduction(F, shape, monkeypatch):
+    rng = np.random.default_rng(3)
+    m, n, r = shape
+    A, B = F.random_matrix(rng, (m, n)), F.random_matrix(rng, (n, r))
+    C = mat_mul_oracle(F, A, B)
+    F.mat_mul(A, B)  # builds the log tables on first use
+    calls = []
+
+    def counted(name):
+        method = getattr(gf.FiniteField, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(gf.FiniteField, name, wrapper)
+
+    counted("_product")
+    counted("_mod")
+    assert np.array_equal(F.mat_mul(A, B), C)
+    assert calls == ["_product", "_mod"]
+    calls.clear()
+    assert np.array_equal(F.mat_vec(A, B[:, 0]), C[:, 0])
+    assert calls == ["_product", "_mod"]
 
 
 def test_float_products_run_on_one_blas_thread_and_restore_the_count(
