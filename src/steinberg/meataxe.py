@@ -4,8 +4,8 @@ Works on matrix modules: a module is a list of invertible action matrices
 over GF(p^k), one per generator of whatever algebra or group is acting.
 Provides spinning (smallest invariant subspace containing given vectors),
 a seeded Norton-style irreducibility test with explicit witnesses,
-recursive composition factors with an isomorphism test between them, sub-,
-quotient- and dual modules, homomorphism spaces and fixed points.
+recursive composition factors with an isomorphism test between them, sub-
+and quotient modules, homomorphism spaces and fixed points.
 
 The Norton test (Parker 1984; Holt & Rees 1994) tries only the actual
 irreducible factors of the characteristic polynomial of each sampled
@@ -27,8 +27,8 @@ or a scalar action.
 Sampled elements are recorded words, so a simple factor's certificate (a
 word theta and a factor f with kernel of dimension deg f) replays on
 another factor; one spin in A + B^m and a small solve decide isomorphism.
-The module keeps its certificate, so the search runs once per module
-however many comparisons replay it.
+The Norton test records the certificate on the module it proves simple,
+so no second search runs however many comparisons replay it.
 
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
@@ -60,7 +60,6 @@ from .caps import MAX_DENSE_DIM, MAX_NORTON_TRIES
 from .gf import (
     FiniteField,
     charpoly,
-    inverse,
     kernel,
     rank,
     row_basis,
@@ -76,7 +75,6 @@ __all__ = [
     "spin",
     "submodule_module",
     "quotient_module",
-    "dual_module",
     "algebra_element",
     "is_irreducible",
     "CompositionFactor",
@@ -89,8 +87,6 @@ __all__ = [
     "hom_space",
     "is_isomorphic",
     "fixed_points",
-    "simple_submodule",
-    "head_of",
     "DEFAULT_SEED",
 ]
 
@@ -117,7 +113,9 @@ class GModule:
     permutation matrices only when `mats` is first read; the MeatAxe
     applies the permutations as gathers.  `perm_of`, set on permutation
     modules only, maps an arbitrary group element to its permutation of
-    the basis; derived modules (sub, quotient, dual) carry neither.
+    the basis; derived modules (sub, quotient) carry neither.
+    `certificate` is None until `is_irreducible` proves the module simple
+    through a certifying factor; see `CompositionFactor`.
     """
 
     def __init__(self, field: FiniteField, mats=None, dim=None, label="",
@@ -125,6 +123,7 @@ class GModule:
         self.field = field
         self.label = label
         self.perm_of = perm_of
+        self.certificate = None
         self.perms = None if perms is None else [
             np.asarray(p, dtype=np.int64) for p in perms]
         self._mats = None if perms is not None else [
@@ -165,12 +164,6 @@ class GModule:
         if self.perms is None:
             return self._mats
         return [np.argsort(p) for p in self.perms]
-
-    @functools.cached_property
-    def _certificate(self) -> tuple:
-        """See `CompositionFactor`: kept on the module, so however many
-        factors wrap it, one search finds it."""
-        return _search_certificate(self)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -296,14 +289,6 @@ def quotient_module(M: GModule, basis, label="") -> GModule:
                    check=False)
 
 
-def dual_module(M: GModule, label="") -> GModule:
-    """Contragredient module: g acts by the inverse-transpose matrix."""
-    F = M.field
-    mats = [inverse(F, A).T.copy() for A in M.mats]
-    return GModule(F, mats, dim=M.dim, label=label or f"dual of {M.label}",
-                   check=False)
-
-
 # -- seeded algebra sampling -------------------------------------------------
 
 
@@ -328,7 +313,7 @@ def _random_word(M: GModule, rng) -> tuple:
     return tuple(word)
 
 
-def _evaluate(M: GModule, word) -> np.ndarray:
+def algebra_element(M: GModule, word) -> np.ndarray:
     """The matrix of a recorded word on M: sum of c * A_i1 @ A_i2 @ ..."""
     F = M.field
     A = np.zeros((M.dim, M.dim), dtype=np.int64)
@@ -338,11 +323,6 @@ def _evaluate(M: GModule, word) -> np.ndarray:
             term = F.mat_mul(term, M.mats[i])
         A = F.mat_add(A, F.scale(c, term))
     return A
-
-
-def algebra_element(M: GModule, rng) -> np.ndarray:
-    """Short random combination of words in the action matrices."""
-    return _evaluate(M, _random_word(M, rng))
 
 
 def _factor_candidates(F: FiniteField, theta: np.ndarray):
@@ -364,7 +344,8 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     kernel dimension equals deg f (always so for a factor of multiplicity
     one) settles the verdict: a kernel vector of f(theta) that spins to a
     proper subspace is a witness, and otherwise the module is simple once a
-    kernel vector of the transpose spins to the whole space as well.  The
+    kernel vector of the transpose spins to the whole space as well, and
+    then (word, f, kernel vector) is recorded as `M.certificate`.  The
     first kernel vectors of the other factors are spun, in the same order,
     only when theta has no such factor; one that spins to a proper
     subspace is a witness.
@@ -383,9 +364,10 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     transposed = [A.T for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
-        theta = algebra_element(M, rng)
+        word = _random_word(M, rng)
         set_aside = []
-        for f, fmat, null_basis in _factor_candidates(F, theta):
+        for f, fmat, null_basis in _factor_candidates(
+                F, algebra_element(M, word)):
             if null_basis.shape[0] != len(f) - 1:
                 set_aside.append(null_basis[0])
                 continue
@@ -396,6 +378,7 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
             dual_sub = _spin_rows(F, transposed, M.dim, w)
             if dual_sub.shape[0] < M.dim:
                 return False, kernel(F, dual_sub)
+            M.certificate = (word, f, null_basis[0])
             return True, None
         for v in set_aside:
             sub = _spin_rows(F, M._gens, M.dim, v)
@@ -415,10 +398,10 @@ class CompositionFactor:
     `certificate` is (word, f, x): a recorded algebra element theta, an
     irreducible factor f of its characteristic polynomial whose kernel
     f(theta) has dimension deg f, and the first vector x of that kernel.
-    It is searched for with the default seed, without spinning, since the
-    module is already known to be simple, and only when a comparison needs
-    it: factors of different dimensions never do.  The module keeps it, so
-    every factor of one module shares one search.
+    `is_irreducible` records it on the module when it proves the module
+    simple.  A module that nothing has tested yet is tested when its
+    certificate is first read; a reducible or 1-dimensional module has
+    none.  Factors of different dimensions never read it.
     """
 
     dim: int
@@ -426,20 +409,12 @@ class CompositionFactor:
 
     @property
     def certificate(self) -> tuple:
-        return self.module._certificate
-
-
-def _search_certificate(M: GModule) -> tuple:
-    """(word, f, x) for a simple module M; see `CompositionFactor`."""
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(MAX_NORTON_TRIES):
-        word = _random_word(M, rng)
-        for f, _, null_basis in _factor_candidates(M.field, _evaluate(M, word)):
-            if null_basis.shape[0] == len(f) - 1:
-                return word, f, null_basis[0]
-    raise MeatAxeError(
-        f"no certificate for a simple factor within {MAX_NORTON_TRIES} "
-        "attempts")
+        M = self.module
+        if M.certificate is None and not is_irreducible(M)[0]:
+            raise MeatAxeError(f"{M!r} is reducible, so it has no certificate")
+        if M.certificate is None:  # dimension 1: simple without a sample
+            raise MeatAxeError(f"{M!r} has dimension 1 and no certificate")
+        return M.certificate
 
 
 def factor_of(M: GModule) -> CompositionFactor:
@@ -447,7 +422,8 @@ def factor_of(M: GModule) -> CompositionFactor:
 
 
 def composition_factors(M: GModule, seed: int = DEFAULT_SEED):
-    """Composition factors, bottom layers first along the found series."""
+    """Composition factors, bottom layers first along the found series,
+    so the last one is a simple quotient of M."""
     if M.dim == 0:
         return []
     verdict, witness = is_irreducible(M, seed)
@@ -510,7 +486,7 @@ def same_factor(a: CompositionFactor, b: CompositionFactor) -> bool:
     if a.dim == 1:
         return False
     word, f, x = a.certificate
-    null_b = kernel(F, evaluate_matrix(F, f, _evaluate(B, word)))
+    null_b = kernel(F, evaluate_matrix(F, f, algebra_element(B, word)))
     d, m = a.dim, null_b.shape[0]
     if m != len(f) - 1:
         return False
@@ -626,7 +602,7 @@ def is_isomorphic(A: GModule, B: GModule, seed: int = DEFAULT_SEED) -> bool:
     return False
 
 
-# -- fixed points, socle-side helpers ---------------------------------------
+# -- fixed points ------------------------------------------------------------
 
 
 def fixed_points(F: FiniteField, gens, dim: int) -> np.ndarray:
@@ -649,25 +625,3 @@ def fixed_points(F: FiniteField, gens, dim: int) -> np.ndarray:
         if basis.shape[0] == 0:
             break
     return F.identity(dim) if basis is None else basis
-
-
-def simple_submodule(M: GModule, seed: int = DEFAULT_SEED):
-    """(ambient basis rows, simple module) for one minimal submodule."""
-    verdict, witness = is_irreducible(M, seed)
-    if verdict:
-        return row_basis(M.field, M.field.identity(M.dim)), M
-    sub = submodule_module(M, witness)
-    inner_rows, simple = simple_submodule(sub, seed)
-    ambient = M.field.mat_mul(inner_rows, witness)
-    return row_basis(M.field, ambient), simple
-
-
-def head_of(M: GModule, seed: int = DEFAULT_SEED) -> GModule:
-    """A simple quotient, found as the dual of a simple submodule of the dual.
-
-    Equals the head whenever the head is simple (the only situation the
-    callers here rely on).
-    """
-    D = dual_module(M)
-    _, simple = simple_submodule(D, seed)
-    return dual_module(simple, label=f"head of {M.label}")

@@ -38,7 +38,6 @@ from .meataxe import (
     GModule,
     ModuleCapError,
     composition_factors,
-    head_of,
     hom_space,
     multiplicity_of,
     spin,
@@ -474,7 +473,8 @@ class GelfandGraevData:
     vector: np.ndarray         # weighted average of the alternating vector
     image_dim: int             # rank of the weighted sum on Steinberg
     hom_dim: int               # dim Hom(module, Steinberg), the dual route
-    head: GModule              # simple head of the submodule the vector spins
+    head: GModule              # top factor of the submodule the vector
+                               # spins: its head, when that is simple
     head_multiplicity: int     # its multiplicity among the Steinberg factors
     steinberg_factors: list    # composition factors of Steinberg
 
@@ -540,7 +540,7 @@ def gelfand_graev(G: GLGroup, character,
     image_dim = int(rank(F, F.mat_mul(st.basis, theta.T.copy())))
     hom_dim = len(hom_space(Gamma, st.module))
     generated = submodule_module(st.parent, spin(st.parent, v))
-    head = head_of(generated, seed)
+    head = composition_factors(generated, seed)[-1].module
     factors = composition_factors(st.module, seed)
     mult = multiplicity_of(head, factors)
     return GelfandGraevData(character=sigma, field=F,

@@ -276,7 +276,7 @@ def _frobenius_rows(F: FiniteField, f: np.ndarray) -> np.ndarray:
     return _power_rows(F, x_to_q, n, fold)
 
 
-def irreducible_factors(F: FiniteField, f, rng=None):
+def irreducible_factors(F: FiniteField, f):
     """Yield the distinct monic irreducible factors of f, lowest degree first.
 
     Lazy distinct-degree factorization: for d = 1, 2, ... the product of the
@@ -285,10 +285,10 @@ def irreducible_factors(F: FiniteField, f, rng=None):
     before d grows, so once deg f < 2(d + 1) what is left is irreducible.  A
     caller that stops early pays only for the degrees it reached.  Each
     modulus f gets one Frobenius matrix, each degree one vector-matrix
-    product for x^(q^d) mod f and one Euclid.
+    product for x^(q^d) mod f and one Euclid.  The Cantor-Zassenhaus
+    splits draw from a fixed seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
+    rng = np.random.default_rng(0x5EED)
     f = monic(F, f)
     h = np.array([0, 1], dtype=np.int64)  # x^(q^d) mod f
     frobenius = None  # of the current f
@@ -311,12 +311,12 @@ def irreducible_factors(F: FiniteField, f, rng=None):
         yield f
 
 
-def factor(F: FiniteField, f, rng=None) -> list[tuple[np.ndarray, int]]:
+def factor(F: FiniteField, f) -> list[tuple[np.ndarray, int]]:
     """Monic irreducible factors with multiplicities, sorted by degree, then
     by coefficients."""
     f = trim(f)
     out = []
-    for irr in irreducible_factors(F, f, rng):
+    for irr in irreducible_factors(F, f):
         f, m = _divide_out(F, f, irr)
         out.append((irr, m))
     return out

@@ -29,8 +29,10 @@ a triangular solve for the unipotent factor, G itself was enumerated
 one product at a time, as was its regular action, the distinct-degree loop
 of `irreducible_factors` raised x^(q^d) by one `powmod` per degree and
 divided factors out by list long division, `divmod_poly` was that list
-division, trimming its dividend at every step, and algebra words
-had two to four terms of one to three generators.  Every
+division, trimming its dividend at every step, algebra words
+had two to four terms of one to three generators, a simple factor's
+certificate came from a second seeded search after its Norton test, and a
+Gelfand-Graev head was the dual of a simple submodule of the dual.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -66,6 +68,7 @@ from steinberg.gf import (
     rref,
 )
 from steinberg.meataxe import (
+    DEFAULT_SEED,
     GModule,
     MeatAxeError,
     _perm_matrix,
@@ -91,6 +94,7 @@ from steinberg.hecke import (
 from steinberg.modrep import (
     _regular_module,
     borel_module,
+    gelfand_graev,
     group_elements,
     hc_induce,
     hc_restrict,
@@ -488,7 +492,7 @@ def is_irreducible_oracle(M, seed):
     rng = np.random.default_rng(seed)
     transposed = [A.T.copy() for A in M.mats]
     for _ in range(MAX_NORTON_TRIES):
-        theta = algebra_element(M, rng)
+        theta = algebra_element(M, meataxe._random_word(M, rng))
         for fmat, deg, null in factor_candidates_oracle(F, theta):
             if null == 0:
                 continue
@@ -1232,7 +1236,7 @@ def test_irreducible_factors_match_the_list_loop_on_ladder_charpolys(case):
     for sampler in (meataxe._random_word, random_word_oracle):
         rng = np.random.default_rng(5)
         for _ in range(2):
-            cp = charpoly(F, meataxe._evaluate(M, sampler(M, rng)))
+            cp = charpoly(F, algebra_element(M, sampler(M, rng)))
             assert (_listed(poly.irreducible_factors(F, cp))
                     == list(irreducible_factors_oracle(F, cp)))
 
@@ -1623,3 +1627,66 @@ def test_same_factor_matches_hom_space_when_endomorphisms_exceed_the_field():
                 _oracle_agrees(a, b)
                 compared += 1
     assert compared > len(simples)
+
+
+# -- recorded certificates and top factors against search and duality -------
+
+
+def search_certificate_oracle(M):
+    """(word, f, x) for a simple module M, by a search of its own."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for _ in range(MAX_NORTON_TRIES):
+        word = meataxe._random_word(M, rng)
+        for f, _, null_basis in meataxe._factor_candidates(
+                M.field, algebra_element(M, word)):
+            if null_basis.shape[0] == len(f) - 1:
+                return word, f, null_basis[0]
+    raise MeatAxeError("no certificate")
+
+
+def dual_oracle(M):
+    F = M.field
+    return GModule(F, [inverse(F, A).T.copy() for A in M.mats], dim=M.dim,
+                   check=False)
+
+
+def head_oracle(M):
+    """A simple quotient: the dual of a simple submodule of the dual,
+    found by descending into witnesses."""
+    D = dual_oracle(M)
+    verdict, witness = is_irreducible(D)
+    while not verdict:
+        D = submodule_module(D, witness)
+        verdict, witness = is_irreducible(D)
+    return dual_oracle(D)
+
+
+@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
+                         ids=str)
+def test_recorded_certificates_match_the_search(case):
+    # the Steinberg module and, below 200 flags, the flag module
+    G = build_gl(*case[:2])
+    modules = [steinberg_module(G, case[2]).module]
+    if G.index < 200:
+        modules.append(borel_module(G, case[2]))
+    for M in modules:
+        for factor in composition_factors(M):
+            if factor.dim < 2:
+                continue
+            word, f, x = factor.module.certificate
+            old_word, old_f, old_x = search_certificate_oracle(factor.module)
+            assert word == old_word
+            assert np.array_equal(f, old_f) and np.array_equal(x, old_x)
+
+
+@pytest.mark.parametrize("n, q, ell", [(2, 2, 3), (2, 3, 2), (3, 2, 7),
+                                       (2, 5, 3), (3, 2, 3), (2, 4, 5)],
+                         ids=str)
+def test_gelfand_graev_head_matches_the_duality_head(n, q, ell):
+    G = build_gl(n, q)
+    gg = gelfand_graev(G, ell)
+    parent = steinberg_module(G, ell, d=gg.character.degree).parent
+    generated = submodule_module(parent, spin(parent, gg.vector))
+    old = head_oracle(generated)
+    assert gg.head.dim == old.dim
+    assert same_factor(factor_of(gg.head), factor_of(old))

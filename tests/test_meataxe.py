@@ -7,7 +7,6 @@ import pytest
 
 from steinberg import gf, meataxe
 from steinberg import polynomials as poly
-from steinberg.caps import MAX_NORTON_TRIES
 from steinberg.gf import charpoly, field, kernel, rank
 from steinberg.meataxe import (
     GModule,
@@ -16,18 +15,16 @@ from steinberg.meataxe import (
     ZeroModuleError,
     algebra_element,
     composition_factors,
-    dual_module,
+    composition_series,
     factor_multiplicities,
     factor_of,
     fixed_points,
-    head_of,
     hom_space,
     is_irreducible,
     is_isomorphic,
     multiplicity_of,
     quotient_module,
     same_factor,
-    simple_submodule,
     spin,
     submodule_module,
 )
@@ -128,9 +125,9 @@ def test_witness_when_no_sample_has_a_certifying_factor(monkeypatch, M):
     # give the verdict; they do so on the first sample
     samples = []
 
-    def counted(M, rng):
+    def counted(M, word):
         samples.append(None)
-        return algebra_element(M, rng)
+        return algebra_element(M, word)
 
     monkeypatch.setattr(meataxe, "algebra_element", counted)
     verdict, witness = is_irreducible(M)
@@ -196,13 +193,13 @@ def test_fixed_points_and_unique_minimal_submodule():
     M = s3_permutation_module(F3)
     fixed = fixed_points(F3, M.mats, M.dim)
     assert np.array_equal(fixed, np.array([[1, 1, 1]]))
-    rows, simple = simple_submodule(M)
-    assert np.array_equal(rows, np.array([[1, 1, 1]]))
-    assert simple.dim == 1
-    assert same_factor(factor_of(simple), factor_of(trivial_module(F3)))
-    head = head_of(M)
+    bases, factors = composition_series(M)
+    assert np.array_equal(bases[0], np.array([[1, 1, 1]]))
+    assert factors[0].dim == 1
+    assert same_factor(factors[0], factor_of(trivial_module(F3)))
+    head = composition_factors(M)[-1]
     assert head.dim == 1
-    assert same_factor(factor_of(head), factor_of(trivial_module(F3)))
+    assert same_factor(head, factor_of(trivial_module(F3)))
 
 
 def test_spin_is_monotone_and_idempotent():
@@ -241,16 +238,6 @@ def test_jordan_block_witness_is_the_fixed_line():
     grouped = factor_multiplicities(factors)
     assert len(grouped) == 1 and grouped[0][1] == 2
     assert all(f.dim == 1 for f in factors)
-
-
-def test_permutation_modules_are_self_dual():
-    M = s3_permutation_module(F3)
-    D = dual_module(M)
-    for A, B in zip(M.mats, D.mats):
-        assert np.array_equal(A, B)
-    J = GModule(F2, [np.array([[1, 1], [0, 1]], dtype=np.int64)])
-    DJ = dual_module(J)
-    assert np.array_equal(DJ.mats[0], np.array([[1, 0], [1, 1]]))
 
 
 def test_zero_module_and_degenerate_inputs():
@@ -303,10 +290,13 @@ def test_permutation_module_builds_matrices_on_first_read():
 
 def test_algebra_element_is_seed_deterministic():
     M = s3_permutation_module(F3)
-    a = algebra_element(M, np.random.default_rng(7))
-    b = algebra_element(M, np.random.default_rng(7))
-    assert np.array_equal(a, b)
-    assert rank(F3, algebra_element(M, np.random.default_rng(8))) >= 0
+
+    def sample(seed):
+        return algebra_element(
+            M, meataxe._random_word(M, np.random.default_rng(seed)))
+
+    assert np.array_equal(sample(7), sample(7))
+    assert rank(F3, sample(8)) >= 0
 
 
 def test_spin_never_echelonizes_more_rows_than_the_dimension(monkeypatch):
@@ -328,34 +318,46 @@ def test_factors_of_distinct_dimensions_need_no_certificate(monkeypatch):
     M = s3_permutation_module(F2)  # trivial plus a 2-dimensional simple
     factors = composition_factors(M)
     assert sorted(f.dim for f in factors) == [1, 2]
-    assert len(factor_multiplicities(factors)) == 2
+    with monkeypatch.context() as refused:
+        refused.setattr(meataxe.CompositionFactor, "certificate",
+                        property(lambda f: pytest.fail("certificate read")))
+        assert len(factor_multiplicities(factors)) == 2
     assert callers and set(callers) == {"_factor_candidates"}
-    assert not any("_certificate" in vars(f.module) for f in factors)
     norton_calls = len(callers)
     two = next(f for f in factors if f.dim == 2)
     word, f, x = two.certificate
-    assert two.certificate[0] is word  # computed once, then cached
-    assert norton_calls < len(callers) <= norton_calls + MAX_NORTON_TRIES
-    theta = meataxe._evaluate(two.module, word)
+    # the Norton test that proved it simple recorded it: no new sample
+    assert two.module.certificate[0] is word
+    assert len(callers) == norton_calls
+    theta = algebra_element(two.module, word)
     null = kernel(F2, poly.evaluate_matrix(F2, f, theta))
     assert null.shape[0] == len(f) - 1 and np.array_equal(x, null[0])
 
 
+def test_a_reducible_or_one_dimensional_module_has_no_certificate():
+    # the Norton test runs on a module nothing has tested, and a reducible
+    # verdict, or a simple one that drew no sample, records nothing
+    for M in (s3_permutation_module(F3), _doubled(rotation_module(F2)),
+              trivial_module(F3)):
+        with pytest.raises(MeatAxeError, match="no certificate"):
+            factor_of(M).certificate
+        assert M.certificate is None
+
+
 def test_recorded_words_replay_the_sampled_elements():
-    # a recorded word is the element algebra_element draws from the same
-    # rng state, and drawing it leaves the rng where algebra_element does;
-    # the words have six to eight terms of two to five letters, so seeded
+    # a recorded word evaluates to the sum of its scaled products; the
+    # words have six to eight terms of two to five letters, so seeded
     # witnesses are those of these words, not of any earlier sampler
     M = s3_permutation_module(F3)
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    rng = np.random.default_rng(5)
     for _ in range(5):
-        word = meataxe._random_word(M, rng_a)
+        word = meataxe._random_word(M, rng)
         assert 6 <= len(word) <= 8
         assert all(1 <= c < F3.order and 2 <= len(letters) <= 5
                    for c, letters in word)
-        assert np.array_equal(algebra_element(M, rng_b),
-                              meataxe._evaluate(M, word))
-    assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+        products = [c * np.linalg.multi_dot([M.mats[i] for i in letters])
+                    for c, letters in word]
+        assert np.array_equal(algebra_element(M, word), sum(products) % 3)
 
 
 # companion matrices of x^3+x+1 and x^3+x^2+1 over GF(2): generators of

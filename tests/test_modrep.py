@@ -460,12 +460,12 @@ def test_multiplicity_of_searches_one_certificate_per_module(monkeypatch):
     M = GModule(M56.field, M56.mats, check=False)
     searches = []
 
-    def counted(module):
+    def counted(module, *args):
         searches.append(module)
-        return search(module)
+        return search(module, *args)
 
-    search = meataxe._search_certificate
-    monkeypatch.setattr(meataxe, "_search_certificate", counted)
+    search = meataxe.is_irreducible
+    monkeypatch.setattr(meataxe, "is_irreducible", counted)
     assert [multiplicity_of(M, factors) for _ in range(5)] == [3] * 5
     assert searches == [M]
 
