@@ -19,6 +19,7 @@ work starts; a cap hit partway through verify also exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -302,7 +303,9 @@ def _emit(payload, args) -> None:
         print(_generic_text(payload))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="steinberg",
         description="Exact checks and formulas for modular Steinberg "

@@ -4,7 +4,8 @@ Field elements are encoded as integers in [0, p^k): the base-p digits of the
 code are the coefficients of the residue polynomial, constant term first.
 Matrices are plain numpy int64 arrays of codes.  All results are exact.
 Elements add digit by digit: arrays through their decoded digit arrays,
-scalars on Python ints.
+scalars on Python ints.  In characteristic 2 a code's bits are its digits,
+so arrays add and subtract by XOR, and reduction modulo 2 keeps the low bit.
 
 How elements multiply: a prime field multiplies modulo p.  An extension
 field multiplies elementwise (scalars, `hadamard`, `scale`, inverses and
@@ -288,7 +289,12 @@ class FiniteField:
 
         X - (X // p) * p: numpy floor-divides by a scalar about twice as
         fast as it takes `%`, and floor division keeps the result in [0, p).
+        For p = 2 the low bit is the residue, also of a negative X in two's
+        complement, and `&` is several times faster than floor division.
         """
+        if self.p == 2:
+            X &= 1
+            return X
         quot = X // self.p
         quot *= self.p
         X -= quot
@@ -325,11 +331,15 @@ class FiniteField:
         return A @ B
 
     def mat_add(self, A, B) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(A, B)
         if self.k == 1:
             return self._mod(A + B)
         return self._encode(self._decode(A) + self._decode(B))
 
     def mat_sub(self, A, B) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(A, B)
         if self.k == 1:
             return self._mod(A - B)
         return self._encode(self._decode(A) - self._decode(B))
@@ -360,6 +370,8 @@ class FiniteField:
         row = np.asarray(row, dtype=np.int64)
         if self.k == 1:
             out = np.multiply.outer(col, row)
+            if self.p == 2:
+                return np.bitwise_xor(X, out, out=out)
             np.subtract(X, out, out=out)
             return self._mod(out)
         return self.mat_sub(X, self.hadamard(col.reshape(-1, 1), row))

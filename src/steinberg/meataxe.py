@@ -29,6 +29,12 @@ word theta and a factor f with kernel of dimension deg f) replays on
 another factor; one spin in A + B^m and a small solve decide isomorphism.
 The Norton test records the certificate on the module it proves simple,
 so no second search runs however many comparisons replay it.
+Samples pass down the composition series.  A split hands each sample
+(word, theta, cp) of the module to both pieces: theta restricted to the
+witness and projected to the quotient are the word evaluated there, and
+the pieces' characteristic polynomials multiply to cp, so only the smaller
+piece gets a `charpoly`.  The pieces draw the same words from the same
+seed, so their tests evaluate no word the parent already did.
 
 Spinning is incremental (Parker's MeatAxe): each round multiplies only the
 vectors added in the previous round and echelonizes their images against
@@ -65,7 +71,7 @@ from .gf import (
     row_basis,
     rref,
 )
-from .polynomials import evaluate_matrix, irreducible_factors
+from .polynomials import divmod_poly, evaluate_matrix, irreducible_factors
 
 __all__ = [
     "MeatAxeError",
@@ -269,21 +275,30 @@ def submodule_module(M: GModule, basis, label="") -> GModule:
                    check=False)
 
 
+def _free_columns(dim: int, pivots) -> np.ndarray:
+    """The columns of an RREF basis that hold no pivot."""
+    free = np.ones(dim, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
+def _project(F: FiniteField, basis, pivots, free, A) -> np.ndarray:
+    """Matrix of A on the quotient by the invariant row space spanned by
+    the RREF basis, in the coordinates of its free columns."""
+    # the images of the free basis vectors, as rows, reduced mod basis
+    cols = A[:, free].T
+    residue = F.mat_sub(cols, F.mat_mul(cols[:, pivots], basis))
+    return residue[:, free].T
+
+
 def quotient_module(M: GModule, basis, label="") -> GModule:
     """Module structure on the quotient by an invariant subspace."""
     F = M.field
     basis, pivots = rref(F, np.asarray(basis, dtype=np.int64))
     basis = basis[: len(pivots)]
-    free = [c for c in range(M.dim) if c not in set(pivots)]
+    free = _free_columns(M.dim, pivots)
     qdim = len(free)
-
-    def project(A):
-        # the images of the free basis vectors, as rows, reduced mod basis
-        cols = A[:, free].T
-        residue = F.mat_sub(cols, F.mat_mul(cols[:, pivots], basis))
-        return residue[:, free].T
-
-    mats = [project(A) for A in M.mats]
+    mats = [_project(F, basis, pivots, free, A) for A in M.mats]
     return GModule(F, mats, dim=qdim,
                    label=label or f"quo({qdim}) of {M.label}",
                    check=False)
@@ -325,16 +340,16 @@ def algebra_element(M: GModule, word) -> np.ndarray:
     return A
 
 
-def _factor_candidates(F: FiniteField, theta: np.ndarray):
+def _factor_candidates(F: FiniteField, theta: np.ndarray, cp: np.ndarray):
     """Yield (f, f(theta), canonical kernel basis of f(theta)) for the
-    distinct irreducible factors f of the characteristic polynomial of
+    distinct irreducible factors f of cp, the characteristic polynomial of
     theta, lowest degree first."""
-    for f in irreducible_factors(F, charpoly(F, theta)):
+    for f in irreducible_factors(F, cp):
         fmat = evaluate_matrix(F, f, theta)
         yield f, fmat, kernel(F, fmat)
 
 
-def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
+def is_irreducible(M: GModule, seed: int = DEFAULT_SEED, samples=None):
     """Seeded Norton test.
 
     Returns (True, None) or (False, witness) where witness is the canonical
@@ -349,7 +364,15 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     first kernel vectors of the other factors are spun, in the same order,
     only when theta has no such factor; one that spins to a proper
     subspace is a witness.
+
+    `samples`, if given, is a list of Norton samples (word, theta, cp) on
+    M in draw order, as `_split` hands them down.  Try i uses sample i when
+    it drew the same word, and evaluates the word otherwise.  The list is
+    emptied; after a reducible verdict it holds the samples drawn on M.
     """
+    known = list(samples or ())
+    if samples is not None:
+        samples.clear()
     if M.dim == 0:
         raise ZeroModuleError("the zero module has no irreducibility verdict")
     if not M.mats:
@@ -363,29 +386,48 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED):
     F = M.field
     rng = np.random.default_rng(seed)
     transposed = [A.T for A in M.mats]
-    for _ in range(MAX_NORTON_TRIES):
+    drawn = []
+    for i in range(MAX_NORTON_TRIES):
         word = _random_word(M, rng)
-        set_aside = []
-        for f, fmat, null_basis in _factor_candidates(
-                F, algebra_element(M, word)):
-            if null_basis.shape[0] != len(f) - 1:
-                set_aside.append(null_basis[0])
-                continue
-            sub = _spin_rows(F, M._gens, M.dim, null_basis[0])
-            if sub.shape[0] < M.dim:
-                return False, sub
-            w = kernel(F, fmat.T)[0]
-            dual_sub = _spin_rows(F, transposed, M.dim, w)
-            if dual_sub.shape[0] < M.dim:
-                return False, kernel(F, dual_sub)
-            M.certificate = (word, f, null_basis[0])
-            return True, None
-        for v in set_aside:
-            sub = _spin_rows(F, M._gens, M.dim, v)
-            if sub.shape[0] < M.dim:
-                return False, sub
+        if i < len(known) and known[i][0] == word:
+            _, theta, cp = known[i]
+        else:
+            theta = algebra_element(M, word)
+            cp = charpoly(F, theta)
+        drawn.append((word, theta, cp))
+        verdict = _norton_verdict(M, transposed, word, theta, cp)
+        if verdict is None:
+            continue
+        if not verdict[0] and samples is not None:
+            samples.extend(drawn)
+        return verdict
     raise MeatAxeError(
         f"no irreducibility verdict within {MAX_NORTON_TRIES} attempts")
+
+
+def _norton_verdict(M: GModule, transposed, word, theta, cp):
+    """The verdict of `is_irreducible` from one sample theta = word on M
+    with characteristic polynomial cp, or None when it settles nothing."""
+    F = M.field
+    set_aside = []
+    for f, fmat, null_basis in _factor_candidates(F, theta, cp):
+        if null_basis.shape[0] != len(f) - 1:
+            set_aside.append(null_basis[0])
+            continue
+        sub = _spin_rows(F, M._gens, M.dim, null_basis[0])
+        if sub.shape[0] < M.dim:
+            return False, sub
+        w = kernel(F, fmat.T)[0]
+        dual_sub = _spin_rows(F, transposed, M.dim, w)
+        if dual_sub.shape[0] < M.dim:
+            return False, kernel(F, dual_sub)
+        M.certificate = (word, f, null_basis[0])
+        return True, None
+    for v in set_aside:
+        sub = _spin_rows(F, M._gens, M.dim, v)
+        if sub.shape[0] < M.dim:
+            return False, sub
+    return None
 
 
 # -- composition factors and their identity -------------------------------
@@ -421,17 +463,59 @@ def factor_of(M: GModule) -> CompositionFactor:
     return CompositionFactor(dim=M.dim, module=M)
 
 
+def _split(M: GModule, witness, samples):
+    """Split M along the invariant subspace spanned by `witness`.
+
+    Returns its canonical basis, the free columns of that basis, and the
+    (submodule, samples) and (quotient, samples) pairs.  `samples`
+    holds the Norton samples (word, theta, cp) drawn on M; it is emptied,
+    and each is handed down as theta restricted to the subspace and
+    projected to the quotient.  A word commutes with both maps, so these
+    are the word evaluated on each piece.  Only the smaller piece gets a
+    `charpoly`: the other's is the exact quotient, since cp is the product
+    of the two.
+    """
+    F = M.field
+    basis, pivots = rref(F, np.asarray(witness, dtype=np.int64))
+    basis = basis[: len(pivots)]
+    free = _free_columns(M.dim, pivots)
+    pieces = (submodule_module(M, basis), quotient_module(M, basis))
+    small = 0 if pieces[0].dim <= pieces[1].dim else 1
+    handed = ([], [])
+    while samples:
+        word, theta, cp = samples.pop(0)
+        thetas = (_restrict(F, basis, pivots, theta),
+                  _project(F, basis, pivots, free, theta))
+        # M's theta, the largest array alive here, goes before the charpoly
+        # (holding it took GL_3(11) ell=2 peak RSS from 367 to 378 MB)
+        del theta
+        cps = [None, None]
+        cps[small] = charpoly(F, thetas[small])
+        cps[1 - small], rest = divmod_poly(F, cp, cps[small])
+        if rest.size:
+            raise MeatAxeError("the characteristic polynomial of a piece "
+                               "does not divide that of the module")
+        for out, piece_theta, piece_cp in zip(handed, thetas, cps):
+            out.append((word, piece_theta, piece_cp))
+    return basis, free, (pieces[0], handed[0]), (pieces[1], handed[1])
+
+
 def composition_factors(M: GModule, seed: int = DEFAULT_SEED):
     """Composition factors, bottom layers first along the found series,
     so the last one is a simple quotient of M."""
+    return _factors(M, seed, [])
+
+
+def _factors(M: GModule, seed: int, samples) -> list:
     if M.dim == 0:
         return []
-    verdict, witness = is_irreducible(M, seed)
+    verdict, witness = is_irreducible(M, seed, samples)
     if verdict:
         return [factor_of(M)]
-    sub = submodule_module(M, witness)
-    quo = quotient_module(M, witness)
-    return composition_factors(sub, seed) + composition_factors(quo, seed)
+    _, _, (sub, sub_samples), (quo, quo_samples) = _split(
+        M, witness, samples)
+    return (_factors(sub, seed, sub_samples)
+            + _factors(quo, seed, quo_samples))
 
 
 def composition_series(M: GModule, seed: int = DEFAULT_SEED):
@@ -442,19 +526,20 @@ def composition_series(M: GModule, seed: int = DEFAULT_SEED):
     space; factors[i] identifies bases[i] / bases[i-1].  The factor list
     matches composition_factors on the same seed.
     """
+    return _series(M, seed, [])
+
+
+def _series(M: GModule, seed: int, samples) -> tuple:
     F = M.field
     if M.dim == 0:
         return [], []
-    verdict, witness = is_irreducible(M, seed)
+    verdict, witness = is_irreducible(M, seed, samples)
     if verdict:
         return [row_basis(F, F.identity(M.dim))], [factor_of(M)]
-    wit, wpiv = rref(F, np.asarray(witness, dtype=np.int64))
-    wit = wit[: len(wpiv)]
-    sub = submodule_module(M, wit)
-    quo = quotient_module(M, wit)
-    sub_bases, sub_factors = composition_series(sub, seed)
-    quo_bases, quo_factors = composition_series(quo, seed)
-    free = [c for c in range(M.dim) if c not in set(wpiv)]
+    wit, free, (sub, sub_samples), (quo, quo_samples) = _split(
+        M, witness, samples)
+    sub_bases, sub_factors = _series(sub, seed, sub_samples)
+    quo_bases, quo_factors = _series(quo, seed, quo_samples)
     bases = [row_basis(F, F.mat_mul(rows, wit)) for rows in sub_bases]
     for qrows in quo_bases:
         lifted = np.zeros((qrows.shape[0], M.dim), dtype=np.int64)

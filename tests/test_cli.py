@@ -251,10 +251,10 @@ def test_verify_spins_no_set_aside_vector_of_a_settled_sample(
     samples, spins = [], []
     candidates, spin_rows = meataxe._factor_candidates, meataxe._spin_rows
 
-    def recorded_candidates(F, theta):
+    def recorded_candidates(F, theta, cp):
         sample = {"certifies": False, "set_aside": []}
         samples.append(sample)
-        for f, fmat, null_basis in candidates(F, theta):
+        for f, fmat, null_basis in candidates(F, theta, cp):
             if null_basis.shape[0] == len(f) - 1:
                 sample["certifies"] = True
             else:
@@ -375,3 +375,39 @@ def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_verify_evaluates_one_word_and_one_large_charpoly_on_gl3_5(
+        capsys, monkeypatch):
+    # the Norton sample drawn on the 125-dimensional Steinberg module is
+    # handed down to both pieces of its split: neither evaluates the word
+    # again, and the 124-dimensional one gets its polynomial by division
+    evaluated, sides = [], []
+    algebra_element, charpoly = meataxe.algebra_element, meataxe.charpoly
+
+    def counted_element(M, word):
+        evaluated.append(M.dim)
+        return algebra_element(M, word)
+
+    def counted_charpoly(F, A):
+        sides.append(A.shape[0])
+        return charpoly(F, A)
+
+    monkeypatch.setattr(meataxe, "algebra_element", counted_element)
+    monkeypatch.setattr(meataxe, "charpoly", counted_charpoly)
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "5", "--ell", "2")
+    assert code == 0
+    assert all(c["pass"] for c in payload["checks"])
+    assert evaluated == [125]
+    assert sides[0] == 125 and all(side <= 62 for side in sides[1:])
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    argv = ("comp-length", "--type", "gl", "--n", "3", "--q", "5",
+            "--ell", "2")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

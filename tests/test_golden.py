@@ -2,8 +2,11 @@
 byte against the recorded golden JSON (`perfbench/golden.json`, read only),
 on the matrix also with the Bruhat decomposition switched off, and equal to
 it at other seeds once the reported seed is set back: no other field may
-depend on which Norton witnesses a seed finds.  One Norton sample almost
-always settles an irreducibility test on the ladder's Steinberg modules."""
+depend on which Norton witnesses a seed finds.  GL_3(7) at ell = 2 and 19,
+whose 343-dimensional Steinberg modules split as 1 + 342 and 55 + 288, is
+pinned byte for byte against `tests/golden_gl3_7.json`.  One Norton sample
+almost always settles an irreducibility test on the ladder's Steinberg
+modules."""
 
 import contextlib
 import io
@@ -20,6 +23,9 @@ from steinberg.modrep import steinberg_module
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
     .read_text())
+
+GOLDEN_GL3_7 = json.loads(
+    (Path(__file__).resolve().parent / "golden_gl3_7.json").read_text())
 
 MATRIX = [(2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
           (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13)]
@@ -39,6 +45,12 @@ def verify_stdout(n, q, ell, seed):
 def test_verify_json_matches_golden(n, q, ell):
     assert (verify_stdout(n, q, ell, DEFAULT_SEED)
             == GOLDEN[f"verify {n} {q} {ell}"])
+
+
+@pytest.mark.parametrize("ell", [2, 19])
+def test_verify_json_matches_golden_on_gl3_7(ell):
+    assert (verify_stdout(3, 7, ell, DEFAULT_SEED)
+            == GOLDEN_GL3_7[f"verify 3 7 {ell}"])
 
 
 @pytest.mark.parametrize("n,q,ell", MATRIX)

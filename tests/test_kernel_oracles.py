@@ -31,8 +31,11 @@ of `irreducible_factors` raised x^(q^d) by one `powmod` per degree and
 divided factors out by list long division, `divmod_poly` was that list
 division, trimming its dividend at every step, algebra words
 had two to four terms of one to three generators, a simple factor's
-certificate came from a second seeded search after its Norton test, and a
-Gelfand-Graev head was the dual of a simple submodule of the dual.  Every
+certificate came from a second seeded search after its Norton test, a
+Gelfand-Graev head was the dual of a simple submodule of the dual, both
+pieces of a split evaluated the Norton words again and took their
+characteristic polynomials, and characteristic 2 reduced, added and
+subtracted by floor division and base-2 digits.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -76,6 +79,7 @@ from steinberg.meataxe import (
     _spin_rows,
     algebra_element,
     composition_factors,
+    composition_series,
     factor_of,
     fixed_points,
     hom_space,
@@ -1637,8 +1641,9 @@ def search_certificate_oracle(M):
     rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(MAX_NORTON_TRIES):
         word = meataxe._random_word(M, rng)
+        theta = algebra_element(M, word)
         for f, _, null_basis in meataxe._factor_candidates(
-                M.field, algebra_element(M, word)):
+                M.field, theta, charpoly(M.field, theta)):
             if null_basis.shape[0] == len(f) - 1:
                 return word, f, null_basis[0]
     raise MeatAxeError("no certificate")
@@ -1690,3 +1695,73 @@ def test_gelfand_graev_head_matches_the_duality_head(n, q, ell):
     old = head_oracle(generated)
     assert gg.head.dim == old.dim
     assert same_factor(factor_of(gg.head), factor_of(old))
+
+
+@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
+                         ids=str)
+def test_handed_down_samples_equal_the_words_evaluated_on_each_piece(
+        case, monkeypatch):
+    split, handed_down = meataxe._split, []
+
+    def checked_split(M, witness, samples):
+        out = split(M, witness, samples)
+        for piece, pieces_samples in out[2:]:
+            for word, theta, cp in pieces_samples:
+                expected = algebra_element(piece, word)
+                assert np.array_equal(theta, expected)
+                assert np.array_equal(cp, charpoly(piece.field, expected))
+                handed_down.append(piece.dim)
+        return out
+
+    monkeypatch.setattr(meataxe, "_split", checked_split)
+    M = steinberg_module(build_gl(*case[:2]), case[2]).module
+    factors = composition_factors(M)
+    _, series_factors = composition_series(M)
+    assert [f.dim for f in series_factors] == [f.dim for f in factors]
+    # every split of both runs hands at least one sample to each piece
+    assert len(handed_down) >= 4 * (len(factors) - 1)
+
+
+# -- characteristic 2 against the floor-division and digit paths -------------
+
+
+CHAR2_FIELDS = (field(2), field(2, 2), field(2, 3), field(2, 10))
+INT64 = np.iinfo(np.int64)
+
+
+def mod_oracle(F, X):
+    X = np.array(X, dtype=np.int64)
+    return X - (X // F.p) * F.p
+
+
+def add_oracle(F, A, B, sign):
+    return mod_oracle(F, F._decode(A) + sign * F._decode(B)) @ F._pows
+
+
+@SETTINGS
+@given(st.sampled_from(CHAR2_FIELDS),
+       arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 7)),
+              elements=st.integers(INT64.min, INT64.max)))
+@example(field(2), np.array([[INT64.min, INT64.max, -1, -2, -3, 2**40 + 1]]))
+def test_char2_reduction_keeps_the_low_bit(F, X):
+    Y = X.copy()
+    assert F._mod(Y) is Y
+    assert np.array_equal(Y, mod_oracle(F, X))
+    assert F._mod(np.int64(-7)) == 1
+
+
+@SETTINGS
+@given(st.data())
+def test_char2_addition_and_rank_one_updates_are_xor(data):
+    F = data.draw(st.sampled_from(CHAR2_FIELDS))
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 7))
+    codes = st.integers(0, F.order - 1)
+    A = data.draw(arrays(np.int64, (m, n), elements=codes))
+    B = data.draw(arrays(np.int64, (m, n), elements=codes))
+    col = data.draw(arrays(np.int64, m, elements=codes))
+    row = data.draw(arrays(np.int64, n, elements=codes))
+    assert np.array_equal(F.mat_add(A, B), add_oracle(F, A, B, 1))
+    assert np.array_equal(F.mat_sub(A, B), add_oracle(F, A, B, -1))
+    outer = F.hadamard(col[:, None], row[None, :])
+    assert np.array_equal(F.sub_outer(A, col, row),
+                          add_oracle(F, A, outer, -1))

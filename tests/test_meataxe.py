@@ -9,6 +9,7 @@ from steinberg import gf, meataxe
 from steinberg import polynomials as poly
 from steinberg.gf import charpoly, field, kernel, rank
 from steinberg.meataxe import (
+    DEFAULT_SEED,
     GModule,
     MeatAxeError,
     ModuleCapError,
@@ -322,7 +323,8 @@ def test_factors_of_distinct_dimensions_need_no_certificate(monkeypatch):
         refused.setattr(meataxe.CompositionFactor, "certificate",
                         property(lambda f: pytest.fail("certificate read")))
         assert len(factor_multiplicities(factors)) == 2
-    assert callers and set(callers) == {"_factor_candidates"}
+    # the Norton test and the split that hands its sample down
+    assert callers and set(callers) == {"is_irreducible", "_split"}
     norton_calls = len(callers)
     two = next(f for f in factors if f.dim == 2)
     word, f, x = two.certificate
@@ -451,3 +453,41 @@ def test_hom_space_never_solves_more_rows_than_its_unknowns(monkeypatch):
     monkeypatch.setattr(gf, "MAX_DENSE_DIM", M.dim * T.dim)
     assert [h.tolist() for h in hom_space(M, T)] == [[[1, 1, 1]]]
     assert [h.tolist() for h in hom_space(T, M)] == [[[1], [1], [1]]]
+
+
+def test_a_corrupted_handed_down_polynomial_is_refused():
+    # the pieces' polynomials multiply to the module's; one that the small
+    # piece's does not divide cannot be handed down
+    M = s3_permutation_module(F2)  # trivial plus a 2-dimensional simple
+    samples = []
+    verdict, witness = is_irreducible(M, DEFAULT_SEED, samples)
+    assert not verdict and len(samples) == 1
+    word, theta, cp = samples[0]
+    meataxe._split(M, witness, [(word, theta, cp)])
+    bad = cp.copy()
+    bad[0] = F2.add(int(bad[0]), 1)
+    with pytest.raises(MeatAxeError, match="does not divide"):
+        meataxe._split(M, witness, [(word, theta, bad)])
+
+
+def test_the_norton_test_and_the_split_release_their_samples():
+    # a module's samples live until its test is over or they are handed down
+    M = s3_permutation_module(F2)
+    samples = []
+    _, witness = is_irreducible(M, DEFAULT_SEED, samples)
+    _, _, (_, sub_samples), (quo, quo_samples) = meataxe._split(
+        M, witness, samples)
+    assert samples == [] and len(sub_samples) == len(quo_samples) == 1
+    assert is_irreducible(quo, DEFAULT_SEED, quo_samples) == (True, None)
+    assert quo_samples == []
+
+
+def test_a_handed_down_sample_of_another_word_is_not_used():
+    M = s3_permutation_module(F2)
+    verdict, witness = is_irreducible(M)
+    stale = (((1, (0, 1)),), F2.zeros((3, 3)), np.array([0, 0, 0, 1]))
+    samples = [stale]
+    stale_verdict, stale_witness = is_irreducible(M, DEFAULT_SEED, samples)
+    assert stale_verdict == verdict
+    assert np.array_equal(stale_witness, witness)
+    assert len(samples) == 1 and samples[0][0] != stale[0]
