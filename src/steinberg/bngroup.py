@@ -7,8 +7,9 @@ permutation-matrix representatives n_w.  On top of that this module offers:
 
 * the finite flag variety G/B as canonical column-echelon representatives,
   computed for a whole stack of matrices at once, and enumerated in a
-  deterministic breadth-first order, a level at a time, that also records
-  each generator's permutation of the flags;
+  deterministic breadth-first order, a level at a time (one product of all
+  generators with the frontier and one canonicalization per level), that
+  also records each generator's permutation of the flags;
 * the permutation action of any group element on G/B or G/P, by
   canonicalizing its products with all representatives in one stack;
 * the cell table of Bruhat cells of all pairs of flags, with row 0 read
@@ -91,13 +92,20 @@ class CosetSpace:
 
 def _left_multiply(F: FiniteField, g, stack) -> np.ndarray:
     """g @ A for every A in an (m, n, n) stack, as one 2-D product of g
-    with the stack laid side by side."""
+    with the stack laid side by side.
+
+    `g` is one n-by-n matrix or a (k, n, n) stack of them, stacked as one
+    (k n, n) factor; the k m products come by matrix of g, then by A.
+    """
     m, n, _ = stack.shape
     g = np.asarray(g, dtype=np.int64)
-    if g.shape != (n, n):
+    if g.ndim not in (2, 3) or g.shape[-2:] != (n, n):
         raise GroupError(f"expected a {n}x{n} matrix, got {g.shape}")
-    wide = F.mat_mul(g, stack.transpose(1, 0, 2).reshape(n, m * n))
-    return np.ascontiguousarray(wide.reshape(n, m, n).transpose(1, 0, 2))
+    k = len(g) if g.ndim == 3 else 1
+    wide = F.mat_mul(g.reshape(k * n, n),
+                     stack.transpose(1, 0, 2).reshape(n, m * n))
+    return np.ascontiguousarray(
+        wide.reshape(k, n, m, n).transpose(0, 2, 1, 3).reshape(k * m, n, n))
 
 
 def _orbit_cosets(F: FiniteField, generators, start, canon, expected: int,
@@ -106,27 +114,31 @@ def _orbit_cosets(F: FiniteField, generators, start, canon, expected: int,
 
     `canon(stack)` returns (representatives, keys) of the cosets of a stack
     of matrices; equal keys mean equal cosets.  The orbit grows a level at
-    a time, one stacked product and canonicalization per generator, and
-    numbers new cosets in queue order: by coset, then by generator.
+    a time: one product of all generators, stacked, with the frontier and
+    one canonicalization of the resulting stack per level.  New cosets are
+    numbered in queue order: by coset, then by generator.
     """
+    gens = np.array(generators, dtype=np.int64).reshape(-1, *start.shape)
     frontier, keys = canon(start[None])
     levels, index = [frontier], {keys[0]: 0}
     parent, parent_gen = [-1], [-1]
     images = [[] for _ in generators]
     done = 0
     while len(frontier):
-        found = [canon(_left_multiply(F, gen, frontier)) for gen in generators]
+        f = len(frontier)
+        reps, keys = canon(_left_multiply(F, gens, frontier))
         new = []
-        for i in range(len(frontier)):
-            for k, (reps, keys) in enumerate(found):
-                j = index.get(keys[i])
+        for i in range(f):
+            for k in range(len(gens)):
+                key = keys[k * f + i]
+                j = index.get(key)
                 if j is None:
-                    j = index[keys[i]] = len(parent)
-                    new.append(reps[i])
+                    j = index[key] = len(parent)
+                    new.append(reps[k * f + i])
                     parent.append(done + i)
                     parent_gen.append(k)
                 images[k].append(j)
-        done += len(frontier)
+        done += f
         frontier = np.array(new, dtype=np.int64).reshape(-1, *start.shape)
         levels.append(frontier)
     if done != expected:

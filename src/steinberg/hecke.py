@@ -357,14 +357,17 @@ def alternating_sum_vector(G: GLGroup) -> np.ndarray:
     """Integer coordinates of the alternating Weyl sum in the flag basis.
 
     Entry at the coset of n_w is (-1)^l(w); everything else is zero.  This
-    is the Steinberg element of the Borel permutation module.
+    is the Steinberg element of the Borel permutation module.  The cosets
+    of all the representatives n_w come from one stacked canonicalization.
     """
+    W = G.weyl
+    flags = G.canonical_flag(np.array([G.weyl_rep(w)
+                                       for w in range(W.order)]))
+    idx = [G.cosets.index[flag.tobytes()] for flag in flags]
+    if len(set(idx)) != W.order:
+        raise HeckeError("distinct Weyl representatives share a coset")
     e = np.zeros(G.index, dtype=np.int64)
-    for w in range(G.weyl.order):
-        idx = G.coset_index(G.weyl_rep(w))
-        if e[idx] != 0:
-            raise HeckeError("distinct Weyl representatives share a coset")
-        e[idx] = -1 if G.weyl.length(w) % 2 else 1
+    e[idx] = 1 - 2 * (W.lengths % 2)
     return e
 
 

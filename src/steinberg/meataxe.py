@@ -259,11 +259,26 @@ def _restrict(F: FiniteField, basis, pivots, gen) -> np.ndarray:
     return coords.T
 
 
+def _pivots(basis) -> list:
+    """Pivot columns of a canonical basis, read without elimination: the
+    first nonzero column of each row.  Raises MeatAxeError when the rows
+    are not in reduced row echelon form without zero rows."""
+    pivots = np.argmax(basis != 0, axis=1)
+    if (np.any(np.diff(pivots) <= 0)
+            or not np.array_equal(basis[:, pivots], np.eye(len(pivots)))):
+        raise MeatAxeError("basis is not in reduced row echelon form")
+    return pivots.tolist()
+
+
 def submodule_module(M: GModule, basis, label="") -> GModule:
     """Module structure on an invariant subspace, in basis coordinates."""
+    basis, pivots = rref(M.field, np.asarray(basis, dtype=np.int64))
+    return _submodule(M, basis[: len(pivots)], pivots, label)
+
+
+def _submodule(M: GModule, basis, pivots, label="") -> GModule:
+    """submodule_module on the RREF `basis` with its pivot columns."""
     F = M.field
-    basis, pivots = rref(F, np.asarray(basis, dtype=np.int64))
-    basis = basis[: len(pivots)]
     if basis.shape[0] == 0:
         return GModule(F, [np.zeros((0, 0), dtype=np.int64)
                            for _ in M._gens],
@@ -293,10 +308,15 @@ def _project(F: FiniteField, basis, pivots, free, A) -> np.ndarray:
 
 def quotient_module(M: GModule, basis, label="") -> GModule:
     """Module structure on the quotient by an invariant subspace."""
+    basis, pivots = rref(M.field, np.asarray(basis, dtype=np.int64))
+    return _quotient(M, basis[: len(pivots)], pivots,
+                     _free_columns(M.dim, pivots), label)
+
+
+def _quotient(M: GModule, basis, pivots, free, label="") -> GModule:
+    """quotient_module on the RREF `basis` with its pivot and free
+    columns."""
     F = M.field
-    basis, pivots = rref(F, np.asarray(basis, dtype=np.int64))
-    basis = basis[: len(pivots)]
-    free = _free_columns(M.dim, pivots)
     qdim = len(free)
     mats = [_project(F, basis, pivots, free, A) for A in M.mats]
     return GModule(F, mats, dim=qdim,
@@ -463,10 +483,11 @@ def factor_of(M: GModule) -> CompositionFactor:
     return CompositionFactor(dim=M.dim, module=M)
 
 
-def _split(M: GModule, witness, samples):
-    """Split M along the invariant subspace spanned by `witness`.
+def _split(M: GModule, basis, samples):
+    """Split M along the invariant subspace spanned by `basis`, the
+    canonical witness `is_irreducible` returns.
 
-    Returns its canonical basis, the free columns of that basis, and the
+    Returns that basis, its free columns, and the
     (submodule, samples) and (quotient, samples) pairs.  `samples`
     holds the Norton samples (word, theta, cp) drawn on M; it is emptied,
     and each is handed down as theta restricted to the subspace and
@@ -476,10 +497,10 @@ def _split(M: GModule, witness, samples):
     of the two.
     """
     F = M.field
-    basis, pivots = rref(F, np.asarray(witness, dtype=np.int64))
-    basis = basis[: len(pivots)]
+    pivots = _pivots(basis)
     free = _free_columns(M.dim, pivots)
-    pieces = (submodule_module(M, basis), quotient_module(M, basis))
+    pieces = (_submodule(M, basis, pivots),
+              _quotient(M, basis, pivots, free))
     small = 0 if pieces[0].dim <= pieces[1].dim else 1
     handed = ([], [])
     while samples:

@@ -13,7 +13,10 @@ instances.  Every permutation module here (flag, partial flag, induced,
 Levi, restricted and regular) is built in one place, `_permutation_module`,
 from a map sending a group element to its permutation of the basis; its
 action is spot-checked there, on permutations, and the map stays on the
-module as `perm_of`, the only way an arbitrary group element acts.
+module as `perm_of`, the only way an arbitrary group element acts.  The
+flag and partial flag modules take their generators' permutations from the
+coset orbit, which recorded them while enumerating G/B or G/P, so `perm_of`
+runs only for the spot check and for other elements.
 Harish-Chandra restriction reads the radical orbits off those
 permutations, and induction reads the Levi module's `perm_of` on the
 parabolic factor of each coset.  The socle generator (the unipotent
@@ -30,18 +33,20 @@ import numpy as np
 
 from .bngroup import GLGroup, _left_multiply, _orbit_cosets, build_gl
 from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
-from .gf import (FiniteField, field, inverse, is_prime, kernel, rank, rref,
+from .gf import (FiniteField, field, inverse, is_prime, kernel, rank,
                  row_basis)
 from .hecke import alternating_sum_vector
 from .meataxe import (
     DEFAULT_SEED,
     GModule,
     ModuleCapError,
+    _free_columns,
+    _pivots,
+    _submodule,
     composition_factors,
     hom_space,
     multiplicity_of,
     spin,
-    submodule_module,
 )
 
 __all__ = [
@@ -84,16 +89,18 @@ def _module_field(G: GLGroup, ell: int, d: int) -> FiniteField:
 
 
 def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
-                        dim: int, label: str) -> GModule:
+                        dim: int, label: str, perms=None) -> GModule:
     """Permutation module over F of the group generated by `gens`.
 
     `perm_of(g)` is the permutation i -> g.i of the `dim` basis vectors for
     a group element g (matrices over Fq); the module keeps it as `perm_of`
     and the generators' permutations as `perms`, so it forms no matrix
-    unless a caller reads `mats`.  Multiplicativity is spot-checked on
-    three generator products, on the permutations themselves.
+    unless a caller reads `mats`.  `perms`, when given, are the generators'
+    permutations already known (a coset orbit's `gen_perms`).
+    Multiplicativity is spot-checked on three generator products through
+    `perm_of`, on the permutations themselves.
     """
-    perms = [perm_of(g) for g in gens]
+    perms = [perm_of(g) for g in gens] if perms is None else list(perms)
     m = len(perms)
     pairs = {(0, m - 1), (m - 1, 0), (m // 2, m // 2)} if m else set()
     for i, j in pairs:
@@ -105,11 +112,12 @@ def _permutation_module(Fq: FiniteField, gens, F: FiniteField, perm_of,
 
 
 def borel_module(G: GLGroup, ell: int, d: int = 1) -> GModule:
-    """Permutation module on the complete flag space over GF(ell^d)."""
+    """Permutation module on the complete flag space over GF(ell^d); the
+    generators' permutations are those the orbit of G/B recorded."""
     F = _module_field(G, ell, d)
     return _permutation_module(
         G.field, G.generators, F, G.coset_permutation, G.index,
-        f"flag module of {G!r} over GF({F.order})")
+        f"flag module of {G!r} over GF({F.order})", G.cosets.gen_perms)
 
 
 def steinberg_element(G: GLGroup, ell: int, d: int = 1,
@@ -142,9 +150,15 @@ def steinberg_module(G: GLGroup, ell: int, d: int = 1,
     M = borel_module(G, ell, d)
     e = steinberg_element(G, ell, d, alternating)
     basis = spin(M, e)
-    St = submodule_module(
-        M, basis, label=f"Steinberg module of {G!r} over GF({M.field.order})")
+    St = _spun_submodule(
+        M, basis, f"Steinberg module of {G!r} over GF({M.field.order})")
     return SteinbergData(parent=M, vector=e, basis=basis, module=St)
+
+
+def _spun_submodule(M: GModule, basis, label="") -> GModule:
+    """The submodule on a canonical basis that `spin` returned, built from
+    the pivots read off its rows: the basis needs no second elimination."""
+    return _submodule(M, basis, _pivots(basis), label)
 
 
 def unipotent_sum(G: GLGroup, F: FiniteField, character=None) -> np.ndarray:
@@ -259,25 +273,30 @@ def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:
     The U-orbits on the flags are the Bruhat cells, so the U-fixed flag
     vectors are spanned by the cell indicators; a combination `a @ cells`
     lies in the span exactly when its residue modulo the basis vanishes.
+    The pivots are read off the rows, so the basis is not eliminated again,
+    and the residue is formed on the free columns only: it is zero on the
+    pivot columns.
     """
-    basis, piv = rref(F, np.asarray(basis, dtype=np.int64))
-    basis = basis[:len(piv)]
+    piv = _pivots(basis)
+    free = _free_columns(basis.shape[1], piv)
     row0 = G.cell_table[0]
     cells = np.array([row0 == w for w in range(G.weyl.order)],
                      dtype=np.int64)
-    residue = F.mat_sub(cells, F.mat_mul(cells[:, piv], basis))
+    residue = F.mat_sub(cells[:, free],
+                        F.mat_mul(cells[:, piv], basis[:, free]))
     return row_basis(F, F.mat_mul(kernel(F, residue.T), cells))
 
 
 def parabolic_perm_module(G: GLGroup, composition, ell: int,
                           d: int = 1) -> GModule:
-    """Permutation module on the partial flag space of the given shape."""
+    """Permutation module on the partial flag space of the given shape; the
+    generators' permutations are those the orbit of G/P recorded."""
     F = _module_field(G, ell, d)
     P = G.parabolic(composition)
     return _permutation_module(
         G.field, G.generators, F, P.coset_permutation, P.cosets.size,
         f"partial flag module of type {P.composition} of {G!r} over "
-        f"GF({F.order})")
+        f"GF({F.order})", P.cosets.gen_perms)
 
 
 def levi_generators(G: GLGroup, composition) -> list:
@@ -527,9 +546,9 @@ def gelfand_graev(G: GLGroup, character,
         raise ModRepError(
             f"Gelfand-Graev module has dimension {gamma_basis.shape[0]}, "
             f"expected {expected}")
-    Gamma = submodule_module(
+    Gamma = _spun_submodule(
         regular, gamma_basis,
-        label=f"Gelfand-Graev module of {G!r} over GF({F.order})")
+        f"Gelfand-Graev module of {G!r} over GF({F.order})")
 
     st = steinberg_module(G, ell, d=sigma.degree)
     theta = unipotent_sum(G, F, sigma)
@@ -539,7 +558,7 @@ def gelfand_graev(G: GLGroup, character,
                           "vanished")
     image_dim = int(rank(F, F.mat_mul(st.basis, theta.T.copy())))
     hom_dim = len(hom_space(Gamma, st.module))
-    generated = submodule_module(st.parent, spin(st.parent, v))
+    generated = _spun_submodule(st.parent, spin(st.parent, v))
     head = composition_factors(generated, seed)[-1].module
     factors = composition_factors(st.module, seed)
     mult = multiplicity_of(head, factors)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from steinberg.bngroup import GroupError, build_gl
+from steinberg.bngroup import GLGroup, GroupError, build_gl
 from steinberg.gf import inverse as mat_inverse
 from test_kernel_oracles import weyl_of_oracle
 
@@ -260,6 +260,28 @@ def test_generator_permutations_come_from_the_orbit(n, q):
     for k, gen in enumerate(G.generators):
         assert np.array_equal(G.coset_permutation(gen), cs.gen_perms[k])
 
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (4, 2), (3, 5)])
+def test_cosets_canonicalize_once_per_bfs_level(n, q, monkeypatch):
+    # one call for the start, then one per level on the stack of every
+    # generator times every frontier flag
+    stacks = []
+    original = GLGroup.canonical_flag
+
+    def counted(self, g):
+        stacks.append(len(np.asarray(g).reshape(-1, n, n)))
+        return original(self, g)
+
+    monkeypatch.setattr(GLGroup, "canonical_flag", counted)
+    G = build_gl(n, q)
+    cs = G.cosets
+    depth = np.zeros(cs.size, dtype=np.int64)
+    for c in range(1, cs.size):
+        depth[c] = depth[cs.parent[c]] + 1
+    assert len(stacks) == 1 + int(depth.max()) + 1
+    assert stacks[0] == 1
+    assert sum(stacks[1:]) == len(G.generators) * cs.size
 
 def test_parabolic_basics():
     G = build_gl(3, 2)

@@ -9,8 +9,10 @@ almost always settles an irreducibility test on the ladder's Steinberg
 modules."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,11 @@ from steinberg import cli, meataxe
 from steinberg.bngroup import GLGroup, build_gl
 from steinberg.meataxe import DEFAULT_SEED
 from steinberg.modrep import steinberg_module
+from test_acceptance import MATRIX as ACCEPTANCE_MATRIX
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
-    .read_text())
+ROOT = Path(__file__).resolve().parents[1]
+
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 GOLDEN_GL3_7 = json.loads(
     (Path(__file__).resolve().parent / "golden_gl3_7.json").read_text())
@@ -30,6 +33,30 @@ GOLDEN_GL3_7 = json.loads(
 MATRIX = [(2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
           (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13)]
 LADDER = [(3, 5, 2), (4, 2, 3)]
+
+
+def _load_workloads():
+    # registered while it runs: its dataclasses look their module up
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_cases_are_the_benchmark_cases():
+    # the tier-1 cases and the benchmark's cases must not drift apart
+    workloads = _load_workloads()
+
+    def cases(name):
+        return [(c.n, c.q, c.ell) for c in workloads.WORKLOADS[name]]
+
+    assert MATRIX == ACCEPTANCE_MATRIX == cases("verify-matrix")
+    assert LADDER == cases("verify-ladder")
 
 
 def verify_stdout(n, q, ell, seed):

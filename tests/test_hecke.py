@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steinberg import gf, hecke
-from steinberg.bngroup import build_gl
+from steinberg.bngroup import GLGroup, build_gl
 from steinberg.coxeter import build_weyl
 from steinberg.gf import field, kernel, rank
 from steinberg.hecke import (
@@ -299,6 +299,25 @@ def test_alternating_vector_coordinates():
     assert int(e.sum()) == 0
     assert set(np.unique(e)) <= {-1, 0, 1}
 
+
+
+def test_alternating_vector_canonicalizes_the_weyl_reps_in_one_stack(
+        monkeypatch):
+    G = build_gl(3, 3)
+    G.cosets
+    stacks = []
+    original = GLGroup.canonical_flag
+
+    def counted(self, g):
+        stacks.append(np.shape(g))
+        return original(self, g)
+
+    monkeypatch.setattr(GLGroup, "canonical_flag", counted)
+    e = alternating_sum_vector(G)
+    assert stacks == [(G.weyl.order, 3, 3)]
+    for w in range(G.weyl.order):
+        sign = -1 if G.weyl.length(w) % 2 else 1
+        assert e[G.coset_index(G.weyl_rep(w))] == sign
 
 SIGN_CASES = {
     (2, 2): (3, 5),

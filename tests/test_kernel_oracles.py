@@ -1408,7 +1408,8 @@ def test_sign_eigenspace_matches_fixed_points_of_negated_operators(n, q):
 
 # -- the flag action against the per-flag and Bruhat-composed routes ----------
 
-FLAG_GROUPS = ((2, 2), (2, 4), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2))
+FLAG_GROUPS = ((2, 2), (2, 4), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5),
+               (4, 2))
 
 
 def _random_invertibles(G, seed, count):

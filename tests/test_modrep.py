@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steinberg import meataxe, modrep
-from steinberg.bngroup import GLGroup, build_gl
+from steinberg.bngroup import GLGroup, ParabolicSubgroup, build_gl
 from steinberg.combinat import (
     dominance_leq,
     partitions,
@@ -160,6 +160,35 @@ def test_borel_module_refuses_a_non_multiplicative_action(monkeypatch):
         borel_module(G, 7)
 
 
+
+def test_flag_modules_read_the_generator_permutations_off_the_orbit(
+        monkeypatch):
+    # perm_of runs only for the spot check's three generator products
+    G = build_gl(3, 3)
+    P = G.parabolic((1, 2))
+    G.cosets, P.cosets
+    calls = []
+    for cls in (GLGroup, ParabolicSubgroup):
+        def counted(self, g, original=cls.coset_permutation):
+            calls.append(type(self))
+            return original(self, g)
+        monkeypatch.setattr(cls, "coset_permutation", counted)
+    M = borel_module(G, 2)
+    assert calls == [GLGroup] * 3
+    N = parabolic_perm_module(G, (1, 2), 2)
+    assert calls[3:] == [ParabolicSubgroup] * 3
+    for k, gen in enumerate(G.generators):
+        assert np.array_equal(M.perms[k], G.coset_permutation(gen))
+        assert np.array_equal(N.perms[k], P.coset_permutation(gen))
+
+
+def test_borel_module_refuses_a_corrupted_orbit_table():
+    G = build_gl(3, 2)
+    perms = G.cosets.gen_perms
+    perms[0, [0, 1]] = perms[0, [1, 0]]   # still a permutation, but wrong
+    with pytest.raises(ModRepError, match="not multiplicative"):
+        borel_module(G, 7)
+
 def test_steinberg_element_values():
     e = steinberg_element(group(2, 2), 3)
     assert e.tolist() == [1, 2, 0]
@@ -257,6 +286,15 @@ def test_socle_dimensions_and_multiplicity():
         assert rank(data.parent.field, stacked) == data.basis.shape[0]
         assert multiplicity_of(sd.module, st_factors(n, q, ell)) == 1
 
+
+
+def test_spun_submodules_equal_the_public_constructor():
+    # the Steinberg module is built from the pivots of its spun basis
+    for n, q, ell in MATRIX:
+        data = st_data(n, q, ell)
+        public = submodule_module(data.parent, data.basis)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(data.module.mats, public.mats))
 
 def _restricted_matrices(parent, basis, elements):
     """Matrices of group elements on the invariant span of the RREF `basis`,
