@@ -29,6 +29,20 @@ word theta and a factor f with kernel of dimension deg f) replays on
 another factor; one spin in A + B^m and a small solve decide isomorphism.
 The Norton test records the certificate on the module it proves simple,
 so no second search runs however many comparisons replay it.
+
+A witness read off a dual spin is the radical, and its quotient is the
+head.  Let f certify theta, let the kernel vector v of f(theta) spin to
+all of M, and let a kernel vector w of f(theta)^T spin under the
+transposes to a proper D, whose annihilator W is the witness.  A
+submodule U that meets the kernel of f(theta) contains v, which spans
+that kernel over F[theta]/(f), so U = M.  On any other U, f(theta) is
+invertible, so the whole kernel of f(theta)^T annihilates U; then w does,
+D does, and U lies in W.  So W is the unique maximal submodule and M/W is
+simple (Holt & Rees 1994): the composition series takes it as a factor
+with no Norton test of its own, and its certificate is searched only if
+it is read.  A witness from the first spin proves nothing about its
+quotient.  W is read off D's canonical basis, with no elimination of D.
+
 Samples pass down the composition series.  A split hands each sample
 (word, theta, cp) of the module to both pieces: theta restricted to the
 witness and projected to the quotient are the word evaluated there, and
@@ -121,7 +135,11 @@ class GModule:
     modules only, maps an arbitrary group element to its permutation of
     the basis; derived modules (sub, quotient) carry neither.
     `certificate` is None until `is_irreducible` proves the module simple
-    through a certifying factor; see `CompositionFactor`.
+    through a certifying factor, and stays None on a quotient that a
+    radical witness proved simple; see `CompositionFactor`.
+    `witness_is_radical` is True when the last `is_irreducible` on the
+    module returned a witness read off a dual spin: the unique maximal
+    submodule, so the quotient by it is simple.
     """
 
     def __init__(self, field: FiniteField, mats=None, dim=None, label="",
@@ -130,6 +148,7 @@ class GModule:
         self.label = label
         self.perm_of = perm_of
         self.certificate = None
+        self.witness_is_radical = False
         self.perms = None if perms is None else [
             np.asarray(p, dtype=np.int64) for p in perms]
         self._mats = None if perms is not None else [
@@ -297,6 +316,21 @@ def _free_columns(dim: int, pivots) -> np.ndarray:
     return np.flatnonzero(free)
 
 
+def _annihilator(F: FiniteField, basis) -> np.ndarray:
+    """Canonical basis of {x : basis @ x = 0} for a canonical `basis`.
+
+    Free column f gives e_f - sum_j basis[j, f] e_{p_j}, p_j the pivot
+    columns; one `row_basis` of those rows makes them canonical.
+    """
+    dim = basis.shape[1]
+    pivots = _pivots(basis)
+    free = _free_columns(dim, pivots)
+    rows = np.zeros((len(free), dim), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = F.mat_neg(basis[:, free].T)
+    return row_basis(F, rows)
+
+
 def _project(F: FiniteField, basis, pivots, free, A) -> np.ndarray:
     """Matrix of A on the quotient by the invariant row space spanned by
     the RREF basis, in the coordinates of its free columns."""
@@ -380,9 +414,12 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED, samples=None):
     one) settles the verdict: a kernel vector of f(theta) that spins to a
     proper subspace is a witness, and otherwise the module is simple once a
     kernel vector of the transpose spins to the whole space as well, and
-    then (word, f, kernel vector) is recorded as `M.certificate`.  The
-    first kernel vectors of the other factors are spun, in the same order,
-    only when theta has no such factor; one that spins to a proper
+    then (word, f, kernel vector) is recorded as `M.certificate`.  When
+    the transpose's spin is proper instead, its annihilator is the
+    witness: the unique maximal submodule, so the quotient by it is simple,
+    and `M.witness_is_radical` is set.  Each test clears that flag first.
+    The first kernel vectors of the other factors are spun, in the same
+    order, only when theta has no such factor; one that spins to a proper
     subspace is a witness.
 
     `samples`, if given, is a list of Norton samples (word, theta, cp) on
@@ -393,6 +430,7 @@ def is_irreducible(M: GModule, seed: int = DEFAULT_SEED, samples=None):
     known = list(samples or ())
     if samples is not None:
         samples.clear()
+    M.witness_is_radical = False
     if M.dim == 0:
         raise ZeroModuleError("the zero module has no irreducibility verdict")
     if not M.mats:
@@ -440,7 +478,8 @@ def _norton_verdict(M: GModule, transposed, word, theta, cp):
         w = kernel(F, fmat.T)[0]
         dual_sub = _spin_rows(F, transposed, M.dim, w)
         if dual_sub.shape[0] < M.dim:
-            return False, kernel(F, dual_sub)
+            M.witness_is_radical = True
+            return False, _annihilator(F, dual_sub)
         M.certificate = (word, f, null_basis[0])
         return True, None
     for v in set_aside:
@@ -461,26 +500,30 @@ class CompositionFactor:
     irreducible factor f of its characteristic polynomial whose kernel
     f(theta) has dimension deg f, and the first vector x of that kernel.
     `is_irreducible` records it on the module when it proves the module
-    simple.  A module that nothing has tested yet is tested when its
-    certificate is first read; a reducible or 1-dimensional module has
-    none.  Factors of different dimensions never read it.
+    simple.  A quotient that a radical witness proves simple has had no
+    test and records none.  Such a module, or one that nothing has tested
+    yet, is tested when its certificate is first read, at `seed`, the seed
+    of the series that found the factor, so the certificate is the one a
+    test in that series would have recorded.  A reducible or 1-dimensional
+    module has none.  Factors of different dimensions never read it.
     """
 
     dim: int
     module: GModule = dc_field(repr=False)
+    seed: int = DEFAULT_SEED
 
     @property
     def certificate(self) -> tuple:
         M = self.module
-        if M.certificate is None and not is_irreducible(M)[0]:
+        if M.certificate is None and not is_irreducible(M, self.seed)[0]:
             raise MeatAxeError(f"{M!r} is reducible, so it has no certificate")
         if M.certificate is None:  # dimension 1: simple without a sample
             raise MeatAxeError(f"{M!r} has dimension 1 and no certificate")
         return M.certificate
 
 
-def factor_of(M: GModule) -> CompositionFactor:
-    return CompositionFactor(dim=M.dim, module=M)
+def factor_of(M: GModule, seed: int = DEFAULT_SEED) -> CompositionFactor:
+    return CompositionFactor(dim=M.dim, module=M, seed=seed)
 
 
 def _split(M: GModule, basis, samples):
@@ -532,11 +575,13 @@ def _factors(M: GModule, seed: int, samples) -> list:
         return []
     verdict, witness = is_irreducible(M, seed, samples)
     if verdict:
-        return [factor_of(M)]
+        return [factor_of(M, seed)]
     _, _, (sub, sub_samples), (quo, quo_samples) = _split(
         M, witness, samples)
-    return (_factors(sub, seed, sub_samples)
-            + _factors(quo, seed, quo_samples))
+    sub_factors = _factors(sub, seed, sub_samples)
+    if M.witness_is_radical:
+        return sub_factors + [factor_of(quo, seed)]
+    return sub_factors + _factors(quo, seed, quo_samples)
 
 
 def composition_series(M: GModule, seed: int = DEFAULT_SEED):
@@ -556,11 +601,15 @@ def _series(M: GModule, seed: int, samples) -> tuple:
         return [], []
     verdict, witness = is_irreducible(M, seed, samples)
     if verdict:
-        return [row_basis(F, F.identity(M.dim))], [factor_of(M)]
+        return [row_basis(F, F.identity(M.dim))], [factor_of(M, seed)]
     wit, free, (sub, sub_samples), (quo, quo_samples) = _split(
         M, witness, samples)
     sub_bases, sub_factors = _series(sub, seed, sub_samples)
-    quo_bases, quo_factors = _series(quo, seed, quo_samples)
+    if M.witness_is_radical:
+        quo_bases = [row_basis(F, F.identity(quo.dim))]
+        quo_factors = [factor_of(quo, seed)]
+    else:
+        quo_bases, quo_factors = _series(quo, seed, quo_samples)
     bases = [row_basis(F, F.mat_mul(rows, wit)) for rows in sub_bases]
     for qrows in quo_bases:
         lifted = np.zeros((qrows.shape[0], M.dim), dtype=np.int64)

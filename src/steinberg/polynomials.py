@@ -23,10 +23,12 @@ It yields the distinct irreducible factors lowest degree first, so the
 MeatAxe's Norton test pays only for the degrees it tries; `factor`
 (multiplicities by repeated division) and `is_irreducible_poly` (the first
 factor is f itself) are built on it.  Raising to the q-th power is
-GF(q)-linear, so each modulus f of degree n gets one n x n Frobenius
-matrix, whose row i is x^(q i) mod f, built by doubling with matrix
-products; each degree then costs one vector-matrix product for x^(q^d)
-mod f and one Euclid for its gcd with f.
+GF(q)-linear, so each modulus f of degree n that reaches degree 2 gets
+one n x n Frobenius matrix, whose row i is x^(q i) mod f, built by
+doubling with matrix products; each degree from 2 on then costs one
+vector-matrix product for x^(q^d) mod f and one Euclid for its gcd with
+f.  Degree 1 needs only x^q mod f, by squaring, and most factor searches
+of the Norton test stop there.
 """
 
 from __future__ import annotations
@@ -267,13 +269,12 @@ def _split_equal_degree(F: FiniteField, f, d: int, rng) -> list[np.ndarray]:
             return left + right
 
 
-def _frobenius_rows(F: FiniteField, f: np.ndarray) -> np.ndarray:
-    """The matrix of h -> h^q mod f for monic f of degree n >= 2: row i is
-    x^(q i) mod f, since h^q = sum h_i x^(q i) over GF(q)."""
-    n = f.size - 1
-    fold = _fold_rows(F, f)
-    x_to_q = _power(F, _padded([0, 1], n), F.order, fold)
-    return _power_rows(F, x_to_q, n, fold)
+def _frobenius_rows(F: FiniteField, x_to_q: np.ndarray,
+                    fold: np.ndarray) -> np.ndarray:
+    """The matrix of h -> h^q mod f, for the monic f of degree n >= 2 of
+    `fold`, from x^q mod f padded to length n: row i is x^(q i) mod f,
+    since h^q = sum h_i x^(q i) over GF(q)."""
+    return _power_rows(F, x_to_q, fold.shape[1], fold)
 
 
 def irreducible_factors(F: FiniteField, f):
@@ -283,30 +284,37 @@ def irreducible_factors(F: FiniteField, f):
     degree-d factors is gcd(x^(q^d) - x, f), split by Cantor-Zassenhaus and
     yielded sorted by coefficients; every power of them is divided out of f
     before d grows, so once deg f < 2(d + 1) what is left is irreducible.  A
-    caller that stops early pays only for the degrees it reached.  Each
-    modulus f gets one Frobenius matrix, each degree one vector-matrix
-    product for x^(q^d) mod f and one Euclid.  The Cantor-Zassenhaus
-    splits draw from a fixed seed.
+    caller that stops early pays only for the degrees it reached.  Degree 1
+    raises x to the q-th power modulo f by squaring; from degree 2 on, each
+    modulus f gets one Frobenius matrix, and each degree one vector-matrix
+    product for x^(q^d) mod f.  Every degree takes one Euclid.  The
+    Cantor-Zassenhaus splits draw from a fixed seed.
     """
     rng = np.random.default_rng(0x5EED)
     f = monic(F, f)
-    h = np.array([0, 1], dtype=np.int64)  # x^(q^d) mod f
-    frobenius = None  # of the current f
+    # x^q and x^(q^d) mod f; x^q is computed at d = 1
+    x_to_q = h = np.array([0, 1], dtype=np.int64)
+    fold = frobenius = None  # of the current f
     d = 0
     while degree(f) >= 2 * (d + 1):
         d += 1
-        if frobenius is None:
-            frobenius = _frobenius_rows(F, f)
-            h = _padded(h, degree(f))
-        h = F.mat_mul(h.reshape(1, -1), frobenius)[0]
+        if fold is None:
+            fold = _fold_rows(F, f)
+            h, x_to_q = _padded(h, degree(f)), _padded(x_to_q, degree(f))
+        if d == 1:
+            h = x_to_q = _power(F, h, F.order, fold)
+        else:
+            if frobenius is None:
+                frobenius = _frobenius_rows(F, x_to_q, fold)
+            h = F.mat_mul(h.reshape(1, -1), frobenius)[0]
         g = gcd(F, sub(F, h, [0, 1]), f)
         if degree(g) < 1:
             continue
         for irr in sorted(_split_equal_degree(F, g, d, rng), key=tuple):
             yield irr
             f = _divide_out(F, f, irr)[0]
-        frobenius = None
-        h = mod(F, h, f)
+        fold = frobenius = None
+        h, x_to_q = mod(F, h, f), mod(F, x_to_q, f)
     if degree(f) > 0:
         yield f
 

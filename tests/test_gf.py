@@ -384,6 +384,27 @@ def test_factor_matches_sympy_gf_factor(p):
         assert _factored(poly.factor(F, f)) == expected
 
 
+def test_a_pull_ending_at_a_linear_factor_builds_no_frobenius_matrix(
+        monkeypatch):
+    # degree 1 needs x^q mod f only; the Frobenius matrix of a modulus is
+    # built when the search reaches degree 2 on it
+    built = []
+    frobenius_rows = poly._frobenius_rows
+
+    def counted(F, x_to_q, fold):
+        built.append(fold.shape[1])
+        return frobenius_rows(F, x_to_q, fold)
+
+    monkeypatch.setattr(poly, "_frobenius_rows", counted)
+    F = field(3)
+    # (x + 1)(x^2 + 1)(x^3 + 2x + 1), the last two irreducible over GF(3)
+    f = poly.mul(F, poly.mul(F, [1, 1], [1, 0, 1]), [1, 2, 0, 1])
+    factors = poly.irreducible_factors(F, f)
+    assert next(factors).tolist() == [1, 1] and built == []
+    assert [g.tolist() for g in factors] == [[1, 0, 1], [1, 2, 0, 1]]
+    assert built == [5]  # once, for the quintic left after x + 1
+
+
 def test_charpoly_factor_degrees_sum():
     rng = np.random.default_rng(29)
     F = field(3)

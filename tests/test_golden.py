@@ -2,7 +2,10 @@
 byte against the recorded golden JSON (`perfbench/golden.json`, read only),
 on the matrix also with the Bruhat decomposition switched off, and equal to
 it at other seeds once the reported seed is set back: no other field may
-depend on which Norton witnesses a seed finds.  GL_3(7) at ell = 2 and 19,
+depend on which Norton witnesses a seed finds.  The ladder runs of that
+seed sweep split by witnesses of both kinds: read off a dual spin, which
+proves its quotient simple, and off the first spin, which does not.
+GL_3(7) at ell = 2 and 19,
 whose 343-dimensional Steinberg modules split as 1 + 342 and 55 + 288, is
 pinned byte for byte against `tests/golden_gl3_7.json`.  One Norton sample
 almost always settles an irreducibility test on the ladder's Steinberg
@@ -33,6 +36,7 @@ GOLDEN_GL3_7 = json.loads(
 MATRIX = [(2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
           (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13)]
 LADDER = [(3, 5, 2), (4, 2, 3)]
+SWEEP_SEEDS = [1, 2, 3, 5, 8, 13, 99, 2024]
 
 
 def _load_workloads():
@@ -92,13 +96,30 @@ def test_verify_needs_no_bruhat_decomposition(n, q, ell, monkeypatch):
             == GOLDEN[f"verify {n} {q} {ell}"])
 
 
-@pytest.mark.parametrize("seed", [1, 2, 99])
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
 @pytest.mark.parametrize("n,q,ell", MATRIX + LADDER)
 def test_verify_json_is_seed_independent(n, q, ell, seed):
     payload = json.loads(verify_stdout(n, q, ell, seed))
     assert payload["seed"] == seed
     payload["seed"] = DEFAULT_SEED
     assert payload == json.loads(GOLDEN[f"verify {n} {q} {ell}"])
+
+
+def test_the_seed_sweep_splits_by_both_kinds_of_witness(monkeypatch):
+    # a witness read off a dual spin proves its quotient simple, one from
+    # the first spin does not; the sweep's ladder runs must take both
+    split, radical = meataxe._split, []
+
+    def recorded(M, *args):
+        radical.append(M.witness_is_radical)
+        return split(M, *args)
+
+    monkeypatch.setattr(meataxe, "_split", recorded)
+    for n, q, ell in LADDER:
+        St = steinberg_module(build_gl(n, q), ell).module
+        for seed in SWEEP_SEEDS:
+            meataxe.composition_factors(St, seed)
+    assert True in radical and False in radical
 
 
 def test_one_norton_sample_settles_almost_every_test_on_the_ladder(

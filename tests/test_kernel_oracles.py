@@ -34,7 +34,9 @@ had two to four terms of one to three generators, a simple factor's
 certificate came from a second seeded search after its Norton test, a
 Gelfand-Graev head was the dual of a simple submodule of the dual, both
 pieces of a split evaluated the Norton words again and took their
-characteristic polynomials, and characteristic 2 reduced, added and
+characteristic polynomials, the quotient by a witness read off a dual
+spin got a Norton test of its own, that witness was the kernel of the
+dual spin's basis, and characteristic 2 reduced, added and
 subtracted by floor division and base-2 digits.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
@@ -1637,9 +1639,9 @@ def test_same_factor_matches_hom_space_when_endomorphisms_exceed_the_field():
 # -- recorded certificates and top factors against search and duality -------
 
 
-def search_certificate_oracle(M):
+def search_certificate_oracle(M, seed=DEFAULT_SEED):
     """(word, f, x) for a simple module M, by a search of its own."""
-    rng = np.random.default_rng(DEFAULT_SEED)
+    rng = np.random.default_rng(seed)
     for _ in range(MAX_NORTON_TRIES):
         word = meataxe._random_word(M, rng)
         theta = algebra_element(M, word)
@@ -1667,22 +1669,46 @@ def head_oracle(M):
     return dual_oracle(D)
 
 
-@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
-                         ids=str)
-def test_recorded_certificates_match_the_search(case):
-    # the Steinberg module and, below 200 flags, the flag module
+def _steinberg_and_flag_modules(case):
+    """The Steinberg module and, below 200 flags, the flag module."""
     G = build_gl(*case[:2])
     modules = [steinberg_module(G, case[2]).module]
     if G.index < 200:
         modules.append(borel_module(G, case[2]))
-    for M in modules:
+    return modules
+
+
+@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
+                         ids=str)
+def test_recorded_certificates_match_the_search(case):
+    for M in _steinberg_and_flag_modules(case):
         for factor in composition_factors(M):
             if factor.dim < 2:
                 continue
-            word, f, x = factor.module.certificate
+            word, f, x = factor.certificate
             old_word, old_f, old_x = search_certificate_oracle(factor.module)
             assert word == old_word
             assert np.array_equal(f, old_f) and np.array_equal(x, old_x)
+
+
+@pytest.mark.parametrize("case", [(3, 5, 2), (4, 2, 3), (3, 3, 2)], ids=str)
+def test_certificates_are_searched_at_the_seed_of_their_series(case):
+    # a factor the series took without a test of its own searches its
+    # certificate when first read, with the words of the series' seed
+    M = steinberg_module(build_gl(*case[:2]), case[2]).module
+    searched = 0
+    for seed in (1, 2, 99):
+        for factor in composition_factors(M, seed):
+            if factor.dim < 2:
+                continue
+            assert factor.seed == seed
+            searched += factor.module.certificate is None
+            word, f, x = factor.certificate
+            old_word, old_f, old_x = search_certificate_oracle(
+                factor.module, seed)
+            assert word == old_word
+            assert np.array_equal(f, old_f) and np.array_equal(x, old_x)
+    assert searched
 
 
 @pytest.mark.parametrize("n, q, ell", [(2, 2, 3), (2, 3, 2), (3, 2, 7),
@@ -1721,6 +1747,132 @@ def test_handed_down_samples_equal_the_words_evaluated_on_each_piece(
     assert [f.dim for f in series_factors] == [f.dim for f in factors]
     # every split of both runs hands at least one sample to each piece
     assert len(handed_down) >= 4 * (len(factors) - 1)
+
+
+# -- proven heads against a Norton test of every quotient ---------------------
+
+
+def factors_oracle(M, seed, samples):
+    if M.dim == 0:
+        return []
+    verdict, witness = is_irreducible(M, seed, samples)
+    if verdict:
+        return [factor_of(M)]
+    _, _, (sub, sub_samples), (quo, quo_samples) = meataxe._split(
+        M, witness, samples)
+    return (factors_oracle(sub, seed, sub_samples)
+            + factors_oracle(quo, seed, quo_samples))
+
+
+def series_oracle(M, seed, samples):
+    F = M.field
+    if M.dim == 0:
+        return [], []
+    verdict, witness = is_irreducible(M, seed, samples)
+    if verdict:
+        return [row_basis(F, F.identity(M.dim))], [factor_of(M)]
+    wit, free, (sub, sub_samples), (quo, quo_samples) = meataxe._split(
+        M, witness, samples)
+    sub_bases, sub_factors = series_oracle(sub, seed, sub_samples)
+    quo_bases, quo_factors = series_oracle(quo, seed, quo_samples)
+    bases = [row_basis(F, F.mat_mul(rows, wit)) for rows in sub_bases]
+    for qrows in quo_bases:
+        lifted = np.zeros((qrows.shape[0], M.dim), dtype=np.int64)
+        lifted[:, free] = qrows
+        bases.append(row_basis(F, np.vstack([wit, lifted])))
+    return bases, sub_factors + quo_factors
+
+
+@SETTINGS
+@given(echelon_inputs())
+def test_annihilator_of_a_canonical_basis_matches_the_kernel(case):
+    F, A = case
+    if A.shape[1] == 0:
+        return  # a dual spin has at least one column
+    basis = row_basis(F, A)
+    assert np.array_equal(meataxe._annihilator(F, basis), kernel(F, basis))
+
+
+@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
+                         ids=str)
+def test_proven_heads_give_the_factors_and_series_of_full_tests(
+        case, monkeypatch):
+    annihilator, read_off = meataxe._annihilator, []
+
+    def checked(F, basis):
+        out = annihilator(F, basis)
+        assert np.array_equal(out, kernel(F, basis))
+        read_off.append(basis.shape)
+        return out
+
+    monkeypatch.setattr(meataxe, "_annihilator", checked)
+    for M in _steinberg_and_flag_modules(case):
+        for seed in (DEFAULT_SEED, 1, 2, 99):
+            factors = composition_factors(M, seed)
+            old = factors_oracle(M, seed, [])
+            assert [f.dim for f in factors] == [f.dim for f in old]
+            bases, series_factors = composition_series(M, seed)
+            old_bases, old_factors = series_oracle(M, seed, [])
+            assert [f.dim for f in series_factors] == [f.dim for f in old]
+            assert len(bases) == len(old_bases)
+            for basis, old_basis in zip(bases, old_bases):
+                assert np.array_equal(basis, old_basis)
+            # a simple factor of dimension 2 or more that records no
+            # certificate is a proven quotient: a test of its own agrees
+            for f in factors:
+                if f.dim > 1 and f.module.certificate is None:
+                    assert is_irreducible(f.module, seed)[0]
+    if case[:2] in ((3, 5), (4, 2), (3, 7)):
+        assert read_off  # the ladder and GL_3(7) prove some head
+
+
+@pytest.mark.parametrize("ell, quotient", [(3, [6, 6]), (7, [5, 1, 5])])
+def test_reducible_quotients_go_through_a_full_test(ell, quotient,
+                                                    monkeypatch):
+    # in the flag module of GL_3(2), a split whose witness came from the
+    # first spin leaves a reducible quotient: it must be tested itself
+    split, test = meataxe._split, meataxe.is_irreducible
+    quotients, tested = [], []
+
+    def recorded_split(M, witness, samples):
+        out = split(M, witness, samples)
+        quotients.append((M.witness_is_radical, out[3][0]))
+        return out
+
+    def recorded_test(M, *args):
+        tested.append(M)
+        return test(M, *args)
+
+    monkeypatch.setattr(meataxe, "_split", recorded_split)
+    monkeypatch.setattr(meataxe, "is_irreducible", recorded_test)
+    composition_factors(borel_module(build_gl(3, 2), ell))
+    monkeypatch.undo()
+    reducible = [(radical, quo) for radical, quo in quotients
+                 if len(composition_factors(quo)) > 1]
+    assert quotient in [[f.dim for f in composition_factors(quo)]
+                        for _, quo in reducible]
+    for radical, quo in reducible:
+        assert not radical
+        assert any(quo is M for M in tested)
+
+
+def test_the_norton_test_runs_only_where_no_head_is_proven(monkeypatch):
+    # GL_3(5) ell=2 splits 125 as 1 + 124 and GL_4(2) ell=3 splits 64 as
+    # 36 + 28, each by a dual-spin witness; a full test of every quotient
+    # ran on [125, 124] and [64, 36, 35, 28]
+    test, tested = meataxe.is_irreducible, []
+
+    def recorded(M, *args):
+        if M.dim >= 2:
+            tested.append(M.dim)
+        return test(M, *args)
+
+    monkeypatch.setattr(meataxe, "is_irreducible", recorded)
+    for case, dims in (((3, 5, 2), [125]), ((4, 2, 3), [64, 36])):
+        tested.clear()
+        composition_factors(steinberg_module(build_gl(*case[:2]),
+                                             case[2]).module)
+        assert tested == dims
 
 
 # -- characteristic 2 against the floor-division and digit paths -------------

@@ -7,6 +7,7 @@ import pytest
 
 from steinberg import gf, meataxe
 from steinberg import polynomials as poly
+from steinberg.bngroup import build_gl
 from steinberg.gf import charpoly, field, kernel, rank
 from steinberg.meataxe import (
     DEFAULT_SEED,
@@ -31,6 +32,7 @@ from steinberg.meataxe import (
     spin,
     submodule_module,
 )
+from steinberg.modrep import steinberg_module
 
 F2 = field(2)
 F3 = field(3)
@@ -138,6 +140,28 @@ def test_witness_when_no_sample_has_a_certifying_factor(monkeypatch, M):
     assert 0 < rank(M.field, witness) < M.dim
     assert np.array_equal(spin(M, witness), witness)
     assert len(samples) == 1
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 99])
+def test_a_doubled_simple_module_splits_without_a_head_proof(seed,
+                                                             monkeypatch):
+    # S + S for the 7-dimensional factor S of GL_3(2) ell=3: every kernel
+    # of f(theta) has dimension 2 deg f, so no sample certifies, only a
+    # set-aside kernel vector splits it, and no head may be proven
+    St = steinberg_module(build_gl(3, 2), 3).module
+    M = _doubled(next(f.module for f in composition_factors(St)
+                      if f.dim == 7))
+    samples = []
+    verdict, _ = is_irreducible(M, seed, samples)
+    assert not verdict and not M.witness_is_radical and samples
+    for _, theta, cp in samples:
+        for f, _, null in meataxe._factor_candidates(M.field, theta, cp):
+            assert null.shape[0] != len(f) - 1
+    monkeypatch.setattr(meataxe, "_annihilator",
+                        lambda F, basis: pytest.fail("a head was proven"))
+    factors = composition_factors(M, seed)
+    assert [f.dim for f in factors] == [7, 7]
+    assert same_factor(*factors)
 
 
 def test_endomorphisms_of_a_point_with_quadratic_splitting_field():
