@@ -509,13 +509,8 @@ class ParabolicSubgroup:
 
     def is_member(self, g) -> bool:
         g = np.asarray(g)
-        if not self.group.is_invertible(g):
-            return False
-        for a in range(self.group.n):
-            for b in range(self.group.n):
-                if self._block_of[a] > self._block_of[b] and g[a, b] != 0:
-                    return False
-        return True
+        below = self._block_of[:, None] > self._block_of
+        return self.group.is_invertible(g) and not g[below].any()
 
     def levi_part(self, p) -> np.ndarray:
         out = self.group.field.zeros((self.group.n, self.group.n))

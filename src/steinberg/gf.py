@@ -27,6 +27,13 @@ product is float64 `@` with numpy's bundled OpenBLAS pinned to one thread
 for the call, or `np.einsum`, which calls no BLAS, where that library or
 its thread-count functions cannot be found.
 
+A subspace is held as its canonical basis: its RREF rows, no zero rows.
+This module is the one place that reads, reduces and intersects such
+bases: `_pivots` reads the pivot columns off canonical rows with no
+elimination, `_canonical` eliminates only rows that are not canonical,
+`reduce_mod_rowspace` gives residues and coordinates modulo a basis, and
+`intersect_rowspaces` solves for the combinations whose residue vanishes.
+
 The modulus for an extension field is chosen deterministically: the monic
 irreducible polynomial of degree k whose non-leading coefficient string has
 the smallest integer encoding.  GF(4) therefore always means x^2 + x + 1.
@@ -608,32 +615,76 @@ def charpoly(F: FiniteField, A) -> np.ndarray:
     return P[n]
 
 
-def reduce_mod_rowspace(F: FiniteField, basis, pivots, v):
-    """Reduce v against an RREF row basis; returns (residue, coords)."""
-    v = np.array(v, dtype=np.int64)
-    coords = np.zeros(len(pivots), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x = int(v[c])
-        if x:
-            coords[i] = x
-            v = F.mat_sub(v, F.scale(x, basis[i]))
-    return v, coords
+def _pivots(basis) -> list:
+    """Pivot columns of a canonical basis, read without elimination: the
+    first nonzero column of each row.  Raises FieldError when the rows are
+    not in reduced row echelon form without zero rows.  The checks read the
+    nonzero mask, so no r x r array is formed."""
+    nonzero = basis != 0
+    # argmax needs a column: rows without any are zero rows
+    pivots = (np.argmax(nonzero, axis=1) if nonzero.size
+              else np.zeros(0, dtype=np.intp))
+    if (len(pivots) != len(basis) or (pivots[1:] <= pivots[:-1]).any()
+            or (basis[np.arange(len(pivots)), pivots] != 1).any()
+            or (nonzero.sum(axis=0)[pivots] != 1).any()):
+        raise FieldError("basis is not in reduced row echelon form")
+    return pivots.tolist()
+
+
+def _free_columns(dim: int, pivots) -> np.ndarray:
+    """The columns of an RREF basis that hold no pivot."""
+    free = np.ones(dim, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
+def _canonical(F: FiniteField, rows) -> tuple[np.ndarray, list[int]]:
+    """(basis, pivots): the canonical basis of the row space of `rows` and
+    its pivot columns.  Rows already in RREF without zero rows are returned
+    as they are; any others get one `rref`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    try:
+        return rows, _pivots(rows)
+    except FieldError:
+        R, pivots = rref(F, rows)
+        return R[: len(pivots)], pivots
+
+
+def _annihilator(F: FiniteField, basis) -> np.ndarray:
+    """Canonical basis of {x : basis @ x = 0} for a canonical `basis`.
+
+    Free column f gives e_f - sum_j basis[j, f] e_{p_j}, p_j the pivot
+    columns; one `row_basis` of those rows makes them canonical.
+    """
+    dim = basis.shape[1]
+    pivots = _pivots(basis)
+    free = _free_columns(dim, pivots)
+    rows = np.zeros((len(free), dim), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = F.mat_neg(basis[:, free].T)
+    return row_basis(F, rows)
+
+
+def reduce_mod_rowspace(F: FiniteField, basis, pivots, rows):
+    """(residues, coordinates) of one vector or a block of `rows` modulo the
+    row space of an RREF `basis` with the given pivot columns:
+    (rows - rows[..., pivots] @ basis, rows[..., pivots]).  A residue is
+    zero on the pivot columns, and zero everywhere for a row in the span."""
+    rows = np.asarray(rows, dtype=np.int64)
+    coords = rows[..., pivots]
+    spanned = F.mat_mul(np.atleast_2d(coords), basis)
+    return F.mat_sub(rows, spanned.reshape(rows.shape)), coords
 
 
 def intersect_rowspaces(F: FiniteField, U, V) -> np.ndarray:
-    """Canonical basis of rowspace(U) meet rowspace(V) (Zassenhaus)."""
-    U = row_basis(F, np.asarray(U, dtype=np.int64))
-    V = row_basis(F, np.asarray(V, dtype=np.int64))
-    n = U.shape[1]
-    if V.shape[1] != n:
+    """Canonical basis of rowspace(U) meet rowspace(V): the span of the
+    combinations a @ U whose residue modulo V's canonical basis vanishes.
+    The residue is zero on V's pivot columns, so the a are the kernel of
+    its free columns."""
+    U = np.asarray(U, dtype=np.int64)
+    V, pivots = _canonical(F, V)
+    if V.shape[1] != U.shape[1]:
         raise FieldError("ambient dimensions differ")
-    top = np.concatenate([U, U], axis=1)
-    bot = np.concatenate([V, np.zeros_like(V)], axis=1)
-    R, piv = rref(F, np.concatenate([top, bot], axis=0))
-    out = []
-    for i in range(len(piv)):
-        if not R[i, :n].any():
-            out.append(R[i, n:])
-    if not out:
-        return np.zeros((0, n), dtype=np.int64)
-    return row_basis(F, np.array(out))
+    residue, _ = reduce_mod_rowspace(F, V, pivots, U)
+    free = _free_columns(U.shape[1], pivots)
+    return row_basis(F, F.mat_mul(kernel(F, residue[:, free].T), U))

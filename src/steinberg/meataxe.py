@@ -66,7 +66,10 @@ candidate maps or taller than the module.
 Vectors are rows; a matrix A acts on the column vector v as A @ v, so the
 row form of the action is v -> v @ A.T.  All subspaces are returned as
 canonical reduced-row-echelon bases, which makes equality of subspaces a
-plain array comparison.
+plain array comparison.  `gf` reads, reduces and intersects them.
+`submodule_module` and `quotient_module` are the one constructor of each
+piece: a canonical basis (a witness, a spin) is taken as given, and any
+other spanning set is eliminated once.
 """
 
 from __future__ import annotations
@@ -79,9 +82,14 @@ import numpy as np
 from .caps import MAX_DENSE_DIM, MAX_NORTON_TRIES
 from .gf import (
     FiniteField,
+    _annihilator,
+    _canonical,
+    _free_columns,
+    _pivots,
     charpoly,
     kernel,
     rank,
+    reduce_mod_rowspace,
     row_basis,
     rref,
 )
@@ -248,8 +256,8 @@ def _spin_rows(F: FiniteField, gens, dim: int, seeds) -> np.ndarray:
         for gen in gens:
             if len(pivots) == dim:
                 break
-            images = _image(F, gen, frontier)
-            residue = F.mat_sub(images, F.mat_mul(images[:, pivots], basis))
+            residue, _ = reduce_mod_rowspace(
+                F, basis, pivots, _image(F, gen, frontier))
             new, new_piv = rref(F, residue)
             if not new_piv:
                 continue
@@ -271,90 +279,44 @@ def spin(M: GModule, seeds) -> np.ndarray:
 def _restrict(F: FiniteField, basis, pivots, gen) -> np.ndarray:
     """Matrix of a generator (as `_image` takes it) on the invariant row
     space spanned by the RREF basis."""
-    images = _image(F, gen, basis)
-    coords = images[:, pivots]
-    if F.mat_sub(images, F.mat_mul(coords, basis)).any():
+    residue, coords = reduce_mod_rowspace(F, basis, pivots,
+                                          _image(F, gen, basis))
+    if residue.any():
         raise MeatAxeError("subspace is not invariant under the action")
     return coords.T
 
 
-def _pivots(basis) -> list:
-    """Pivot columns of a canonical basis, read without elimination: the
-    first nonzero column of each row.  Raises MeatAxeError when the rows
-    are not in reduced row echelon form without zero rows."""
-    pivots = np.argmax(basis != 0, axis=1)
-    if (np.any(np.diff(pivots) <= 0)
-            or not np.array_equal(basis[:, pivots], np.eye(len(pivots)))):
-        raise MeatAxeError("basis is not in reduced row echelon form")
-    return pivots.tolist()
-
-
 def submodule_module(M: GModule, basis, label="") -> GModule:
-    """Module structure on an invariant subspace, in basis coordinates."""
-    basis, pivots = rref(M.field, np.asarray(basis, dtype=np.int64))
-    return _submodule(M, basis[: len(pivots)], pivots, label)
-
-
-def _submodule(M: GModule, basis, pivots, label="") -> GModule:
-    """submodule_module on the RREF `basis` with its pivot columns."""
+    """Module structure on an invariant subspace, in the coordinates of its
+    canonical basis.  `basis` spans the subspace; canonical rows are taken
+    as given, any others are eliminated once."""
     F = M.field
-    if basis.shape[0] == 0:
-        return GModule(F, [np.zeros((0, 0), dtype=np.int64)
-                           for _ in M._gens],
-                       dim=0, label=label or f"sub(0) of {M.label}",
-                       check=False)
+    basis, pivots = _canonical(F, basis)
     mats = [_restrict(F, basis, pivots, gen) for gen in M._gens]
-    return GModule(F, mats, dim=basis.shape[0],
-                   label=label or f"sub({basis.shape[0]}) of {M.label}",
+    return GModule(F, mats, dim=len(pivots),
+                   label=label or f"sub({len(pivots)}) of {M.label}",
                    check=False)
-
-
-def _free_columns(dim: int, pivots) -> np.ndarray:
-    """The columns of an RREF basis that hold no pivot."""
-    free = np.ones(dim, dtype=bool)
-    free[pivots] = False
-    return np.flatnonzero(free)
-
-
-def _annihilator(F: FiniteField, basis) -> np.ndarray:
-    """Canonical basis of {x : basis @ x = 0} for a canonical `basis`.
-
-    Free column f gives e_f - sum_j basis[j, f] e_{p_j}, p_j the pivot
-    columns; one `row_basis` of those rows makes them canonical.
-    """
-    dim = basis.shape[1]
-    pivots = _pivots(basis)
-    free = _free_columns(dim, pivots)
-    rows = np.zeros((len(free), dim), dtype=np.int64)
-    rows[np.arange(len(free)), free] = 1
-    rows[:, pivots] = F.mat_neg(basis[:, free].T)
-    return row_basis(F, rows)
 
 
 def _project(F: FiniteField, basis, pivots, free, A) -> np.ndarray:
     """Matrix of A on the quotient by the invariant row space spanned by
     the RREF basis, in the coordinates of its free columns."""
     # the images of the free basis vectors, as rows, reduced mod basis
-    cols = A[:, free].T
-    residue = F.mat_sub(cols, F.mat_mul(cols[:, pivots], basis))
+    residue, _ = reduce_mod_rowspace(F, basis, pivots, A[:, free].T)
     return residue[:, free].T
 
 
 def quotient_module(M: GModule, basis, label="") -> GModule:
-    """Module structure on the quotient by an invariant subspace."""
-    basis, pivots = rref(M.field, np.asarray(basis, dtype=np.int64))
-    return _quotient(M, basis[: len(pivots)], pivots,
-                     _free_columns(M.dim, pivots), label)
-
-
-def _quotient(M: GModule, basis, pivots, free, label="") -> GModule:
-    """quotient_module on the RREF `basis` with its pivot and free
-    columns."""
+    """Module structure on the quotient by an invariant subspace, in the
+    coordinates of the free columns of its canonical basis.  `basis` spans
+    the subspace; canonical rows are taken as given, any others are
+    eliminated once."""
     F = M.field
-    qdim = len(free)
+    basis, pivots = _canonical(F, basis)
+    free = _free_columns(M.dim, pivots)
     mats = [_project(F, basis, pivots, free, A) for A in M.mats]
-    return GModule(F, mats, dim=qdim,
-                   label=label or f"quo({qdim}) of {M.label}",
+    return GModule(F, mats, dim=len(free),
+                   label=label or f"quo({len(free)}) of {M.label}",
                    check=False)
 
 
@@ -542,8 +504,7 @@ def _split(M: GModule, basis, samples):
     F = M.field
     pivots = _pivots(basis)
     free = _free_columns(M.dim, pivots)
-    pieces = (_submodule(M, basis, pivots),
-              _quotient(M, basis, pivots, free))
+    pieces = (submodule_module(M, basis), quotient_module(M, basis))
     small = 0 if pieces[0].dim <= pieces[1].dim else 1
     handed = ([], [])
     while samples:

@@ -22,7 +22,9 @@ permutations, and induction reads the Levi module's `perm_of` on the
 parabolic factor of each coset.  The socle generator (the unipotent
 average of the alternating vector) and the unipotent fixed space of the
 Steinberg module are read from the Bruhat cells, which are the U-orbits
-on the flags.
+on the flags; the fixed space is one `gf.intersect_rowspaces` of the cell
+indicators with the Steinberg basis.  Submodules on spun bases are built
+by the public `meataxe.submodule_module`, which takes them as given.
 """
 
 from __future__ import annotations
@@ -33,20 +35,18 @@ import numpy as np
 
 from .bngroup import GLGroup, _left_multiply, _orbit_cosets, build_gl
 from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
-from .gf import (FiniteField, field, inverse, is_prime, kernel, rank,
-                 row_basis)
+from .gf import (FiniteField, field, intersect_rowspaces, inverse, is_prime,
+                 rank)
 from .hecke import alternating_sum_vector
 from .meataxe import (
     DEFAULT_SEED,
     GModule,
     ModuleCapError,
-    _free_columns,
-    _pivots,
-    _submodule,
     composition_factors,
     hom_space,
     multiplicity_of,
     spin,
+    submodule_module,
 )
 
 __all__ = [
@@ -150,15 +150,9 @@ def steinberg_module(G: GLGroup, ell: int, d: int = 1,
     M = borel_module(G, ell, d)
     e = steinberg_element(G, ell, d, alternating)
     basis = spin(M, e)
-    St = _spun_submodule(
+    St = submodule_module(
         M, basis, f"Steinberg module of {G!r} over GF({M.field.order})")
     return SteinbergData(parent=M, vector=e, basis=basis, module=St)
-
-
-def _spun_submodule(M: GModule, basis, label="") -> GModule:
-    """The submodule on a canonical basis that `spin` returned, built from
-    the pivots read off its rows: the basis needs no second elimination."""
-    return _submodule(M, basis, _pivots(basis), label)
 
 
 def unipotent_sum(G: GLGroup, F: FiniteField, character=None) -> np.ndarray:
@@ -271,20 +265,13 @@ def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:
     span of the RREF `basis` of an invariant subspace of the flag module.
 
     The U-orbits on the flags are the Bruhat cells, so the U-fixed flag
-    vectors are spanned by the cell indicators; a combination `a @ cells`
-    lies in the span exactly when its residue modulo the basis vanishes.
-    The pivots are read off the rows, so the basis is not eliminated again,
-    and the residue is formed on the free columns only: it is zero on the
-    pivot columns.
+    vectors are spanned by the cell indicators, and these rows are the meet
+    of their span with that of `basis`, which is read as given.
     """
-    piv = _pivots(basis)
-    free = _free_columns(basis.shape[1], piv)
     row0 = G.cell_table[0]
     cells = np.array([row0 == w for w in range(G.weyl.order)],
                      dtype=np.int64)
-    residue = F.mat_sub(cells[:, free],
-                        F.mat_mul(cells[:, piv], basis[:, free]))
-    return row_basis(F, F.mat_mul(kernel(F, residue.T), cells))
+    return intersect_rowspaces(F, cells, basis)
 
 
 def parabolic_perm_module(G: GLGroup, composition, ell: int,
@@ -546,7 +533,7 @@ def gelfand_graev(G: GLGroup, character,
         raise ModRepError(
             f"Gelfand-Graev module has dimension {gamma_basis.shape[0]}, "
             f"expected {expected}")
-    Gamma = _spun_submodule(
+    Gamma = submodule_module(
         regular, gamma_basis,
         f"Gelfand-Graev module of {G!r} over GF({F.order})")
 
@@ -558,7 +545,7 @@ def gelfand_graev(G: GLGroup, character,
                           "vanished")
     image_dim = int(rank(F, F.mat_mul(st.basis, theta.T.copy())))
     hom_dim = len(hom_space(Gamma, st.module))
-    generated = _spun_submodule(st.parent, spin(st.parent, v))
+    generated = submodule_module(st.parent, spin(st.parent, v))
     head = composition_factors(generated, seed)[-1].module
     factors = composition_factors(st.module, seed)
     mult = multiplicity_of(head, factors)

@@ -36,8 +36,12 @@ Gelfand-Graev head was the dual of a simple submodule of the dual, both
 pieces of a split evaluated the Norton words again and took their
 characteristic polynomials, the quotient by a witness read off a dual
 spin got a Norton test of its own, that witness was the kernel of the
-dual spin's basis, and characteristic 2 reduced, added and
-subtracted by floor division and base-2 digits.  Every
+dual spin's basis, characteristic 2 reduced, added and
+subtracted by floor division and base-2 digits, `reduce_mod_rowspace`
+reduced one vector at a time, `intersect_rowspaces` eliminated the
+Zassenhaus block matrix, the unipotent fixed rows solved a residue system
+of their own, and the sub- and quotient constructors eliminated every
+spanning set once more, canonical or not.  Every
 current kernel returns a canonical object (an RREF basis, a characteristic
 polynomial, a matrix in a canonical basis, a sorted factor list), so the
 outputs must agree exactly; the Norton test must give the old verdict
@@ -99,6 +103,7 @@ from steinberg.hecke import (
 )
 from steinberg.modrep import (
     _regular_module,
+    _unipotent_fixed_rows,
     borel_module,
     gelfand_graev,
     group_elements,
@@ -243,11 +248,50 @@ def spin_rows_oracle(F, mats, dim, seeds):
     return basis
 
 
+def reduce_mod_rowspace_oracle(F, basis, pivots, v):
+    v = np.array(v, dtype=np.int64)
+    coords = np.zeros(len(pivots), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x = int(v[c])
+        if x:
+            coords[i] = x
+            v = F.mat_sub(v, F.scale(x, basis[i]))
+    return v, coords
+
+
+def intersect_rowspaces_oracle(F, U, V):
+    U = row_basis(F, np.asarray(U, dtype=np.int64))
+    V = row_basis(F, np.asarray(V, dtype=np.int64))
+    n = U.shape[1]
+    top = np.concatenate([U, U], axis=1)
+    bot = np.concatenate([V, np.zeros_like(V)], axis=1)
+    R, piv = rref(F, np.concatenate([top, bot], axis=0))
+    out = []
+    for i in range(len(piv)):
+        if not R[i, :n].any():
+            out.append(R[i, n:])
+    if not out:
+        return np.zeros((0, n), dtype=np.int64)
+    return row_basis(F, np.array(out))
+
+
+def unipotent_fixed_rows_oracle(G, F, basis):
+    piv = gf._pivots(basis)
+    free = gf._free_columns(basis.shape[1], piv)
+    row0 = G.cell_table[0]
+    cells = np.array([row0 == w for w in range(G.weyl.order)],
+                     dtype=np.int64)
+    residue = F.mat_sub(cells[:, free],
+                        F.mat_mul(cells[:, piv], basis[:, free]))
+    return row_basis(F, F.mat_mul(kernel(F, residue.T), cells))
+
+
 def restrict_oracle(F, basis, pivots, A):
     images = F.mat_mul(basis, A.T)
     out = np.zeros((basis.shape[0], basis.shape[0]), dtype=np.int64)
     for i in range(images.shape[0]):
-        residue, coords = reduce_mod_rowspace(F, basis, pivots, images[i])
+        residue, coords = reduce_mod_rowspace_oracle(F, basis, pivots,
+                                                     images[i])
         assert not residue.any()
         out[i] = coords
     return out.T
@@ -257,9 +301,32 @@ def project_oracle(F, basis, pivots, A):
     free = [c for c in range(A.shape[0]) if c not in set(pivots)]
     out = np.zeros((len(free), len(free)), dtype=np.int64)
     for jq, j in enumerate(free):
-        residue, _ = reduce_mod_rowspace(F, basis, pivots, A[:, j].copy())
+        residue, _ = reduce_mod_rowspace_oracle(F, basis, pivots,
+                                                A[:, j].copy())
         out[:, jq] = residue[free]
     return out
+
+
+def _rref_first(F, rows):
+    R, pivots = rref(F, np.asarray(rows, dtype=np.int64))
+    return R[: len(pivots)], pivots
+
+
+def submodule_oracle(M, rows):
+    """The generators' matrices on the span of `rows`, eliminated by one
+    `rref` whether canonical or not, then restricted one vector at a
+    time."""
+    F = M.field
+    basis, pivots = _rref_first(F, rows)
+    return [restrict_oracle(F, basis, pivots, A) for A in M.mats]
+
+
+def quotient_oracle(M, rows):
+    """The generators' matrices on the quotient by the span of `rows`, as
+    `submodule_oracle` forms them."""
+    F = M.field
+    basis, pivots = _rref_first(F, rows)
+    return [project_oracle(F, basis, pivots, A) for A in M.mats]
 
 
 def kron_oracle(F, A, B):
@@ -309,7 +376,8 @@ def fixed_points_oracle(F, mats, dim):
     basis = F.identity(dim)
     eye = F.identity(dim)
     for A in mats:
-        basis = intersect_rowspaces(F, basis, kernel(F, F.mat_sub(A, eye)))
+        basis = intersect_rowspaces_oracle(F, basis,
+                                           kernel(F, F.mat_sub(A, eye)))
         if basis.shape[0] == 0:
             break
     return basis
@@ -757,6 +825,33 @@ def echelon_inputs(draw):
     return F, draw(codes(F, (rows, cols)))
 
 
+ROWSPACE_FIELDS = (field(2), field(3), field(2, 2), field(3, 2))
+
+
+@st.composite
+def canonical_bases(draw):
+    """(F, basis, rows): a canonical basis of random rank over GF(2), GF(3),
+    GF(4) or GF(9) and a block of rows, some random and some in its span."""
+    F = draw(st.sampled_from(ROWSPACE_FIELDS))
+    n = draw(st.integers(1, MAX_DIM))
+    basis = row_basis(F, draw(codes(F, (draw(st.integers(0, n + 2)), n))))
+    spanned = F.mat_mul(draw(codes(F, (draw(st.integers(0, 3)),
+                                       basis.shape[0]))), basis)
+    rows = np.vstack([draw(codes(F, (draw(st.integers(0, 4)), n))), spanned])
+    return F, basis, rows
+
+
+def _rowspace_examples():
+    """Empty and full bases over each field, with rows to reduce."""
+    out = []
+    for F in ROWSPACE_FIELDS:
+        rows = np.arange(20, dtype=np.int64).reshape(4, 5) % F.order
+        out += [(F, np.zeros((0, 5), dtype=np.int64), rows),
+                (F, F.identity(5), rows),
+                (F, F.identity(5), rows[:0])]
+    return out
+
+
 @st.composite
 def sparse_wide_inputs(draw):
     """Up to 40 columns with runs of zero columns and zero rows, 1 x N and
@@ -1164,6 +1259,58 @@ def test_kernel_matches_loop_oracle(case):
 
 
 @SETTINGS
+@given(canonical_bases())
+@_with_examples(_rowspace_examples())
+def test_residues_match_the_vector_loop(case):
+    F, basis, rows = case
+    pivots = gf._pivots(basis)
+    assert pivots == rref(F, basis)[1]
+    residue, coords = reduce_mod_rowspace(F, basis, pivots, rows)
+    assert residue.shape == rows.shape
+    assert coords.shape == (len(rows), len(pivots))
+    for row, block_residue, block_coords in zip(rows, residue, coords):
+        old_residue, old_coords = reduce_mod_rowspace_oracle(
+            F, basis, pivots, row)
+        assert np.array_equal(block_residue, old_residue)
+        assert np.array_equal(block_coords, old_coords)
+        vector_residue, vector_coords = reduce_mod_rowspace(
+            F, basis, pivots, row)
+        assert np.array_equal(vector_residue, old_residue)
+        assert np.array_equal(vector_coords, old_coords)
+
+
+@SETTINGS
+@given(canonical_bases())
+@_with_examples(_rowspace_examples())
+def test_intersections_match_zassenhaus(case):
+    # the block is rarely canonical, so as V it takes the eliminating path
+    F, basis, rows = case
+    for U, V in ((rows, basis), (basis, rows), (rows, rows)):
+        assert np.array_equal(intersect_rowspaces(F, U, V),
+                              intersect_rowspaces_oracle(F, U, V))
+
+
+@SETTINGS
+@given(modules_and_seeds(), st.data())
+def test_pieces_of_a_canonical_basis_equal_those_of_a_scrambled_span(
+        case, data):
+    F, mats, dim, seeds = case
+    M = GModule(F, mats, dim=dim, check=False)
+    basis = spin(M, seeds)
+    r = basis.shape[0]
+    # an invertible mix of the basis, two more rows of its span, shuffled
+    mix = np.vstack([data.draw(invertible_matrices(F, r)),
+                     data.draw(codes(F, (2, r)))])
+    scrambled = F.mat_mul(mix, basis)[data.draw(st.permutations(range(r + 2)))]
+    subs, quos = submodule_oracle(M, scrambled), quotient_oracle(M, scrambled)
+    for rows in (basis, scrambled):
+        sub, quo = submodule_module(M, rows), quotient_module(M, rows)
+        assert (sub.dim, quo.dim) == (r, dim - r)
+        for A, B in zip(sub.mats + quo.mats, subs + quos, strict=True):
+            assert np.array_equal(A, B)
+
+
+@SETTINGS
 @given(modules_and_seeds())
 def test_spin_and_derived_actions_match_oracles(case):
     F, mats, dim, seeds = case
@@ -1265,6 +1412,17 @@ def test_divmod_matches_the_trimming_loop(case, divisor):
 # the Steinberg modules of the acceptance matrix and of both ladder rungs
 ST_CASES = ((2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 4, 3), (2, 4, 5),
             (3, 2, 3), (3, 2, 7), (3, 3, 2), (3, 3, 13), (3, 5, 2), (4, 2, 3))
+
+
+@pytest.mark.parametrize("case", ST_CASES + ((3, 7, 2), (3, 7, 19)),
+                         ids=str)
+def test_unipotent_fixed_rows_match_the_residue_solve(case):
+    G = build_gl(*case[:2])
+    data = steinberg_module(G, case[2])
+    F = data.parent.field
+    for basis in (data.basis, F.identity(G.index)):
+        assert np.array_equal(_unipotent_fixed_rows(G, F, basis),
+                              unipotent_fixed_rows_oracle(G, F, basis))
 
 
 @pytest.mark.parametrize("case", ST_CASES, ids=str)

@@ -15,7 +15,6 @@ from steinberg.meataxe import (
     MeatAxeError,
     ModuleCapError,
     ZeroModuleError,
-    _pivots,
     _split,
     algebra_element,
     composition_factors,
@@ -33,6 +32,7 @@ from steinberg.meataxe import (
     submodule_module,
 )
 from steinberg.modrep import steinberg_module
+from test_kernel_oracles import quotient_oracle, submodule_oracle
 
 F2 = field(2)
 F3 = field(3)
@@ -257,29 +257,30 @@ def test_submodule_and_quotient_actions():
 
 
 def test_pivots_are_read_off_canonical_rows_only():
-    assert _pivots(np.array([[1, 0, 2], [0, 1, 2]])) == [0, 1]
-    assert _pivots(np.array([[0, 1, 0, 3], [0, 0, 1, 4]])) == [1, 2]
-    assert _pivots(np.zeros((0, 3), dtype=np.int64)) == []
+    assert gf._pivots(np.array([[1, 0, 2], [0, 1, 2]])) == [0, 1]
+    assert gf._pivots(np.array([[0, 1, 0, 3], [0, 0, 1, 4]])) == [1, 2]
+    assert gf._pivots(np.zeros((0, 3), dtype=np.int64)) == []
     for rows in ([[0, 1, 0], [1, 0, 0]],    # pivots out of order
                  [[1, 1, 0], [0, 1, 0]],    # a pivot column not cleared
                  [[1, 0, 0], [0, 0, 0]],    # a zero row
-                 [[2, 0, 1]]):              # a pivot not scaled to 1
-        with pytest.raises(MeatAxeError):
-            _pivots(np.array(rows))
+                 [[2, 0, 1]],               # a pivot not scaled to 1
+                 np.zeros((2, 0))):         # rows with no columns
+        with pytest.raises(gf.FieldError):
+            gf._pivots(np.array(rows))
 
 
-def test_split_pieces_equal_the_public_constructors():
-    # _split builds both pieces from the witness's own pivots
+def test_split_pieces_equal_the_rref_first_oracle():
+    # _split takes the witness's canonical rows as given
     M = s3_permutation_module(F3)
     for seed in range(4):
         verdict, witness = is_irreducible(M, seed)
         assert not verdict
         _, _, (sub, _), (quo, _) = _split(M, witness, [])
-        for piece, public in ((sub, submodule_module(M, witness)),
-                              (quo, quotient_module(M, witness))):
-            assert piece.dim == public.dim
+        assert sub.dim + quo.dim == M.dim
+        for piece, mats in ((sub, submodule_oracle(M, witness)),
+                            (quo, quotient_oracle(M, witness))):
             assert all(np.array_equal(a, b)
-                       for a, b in zip(piece.mats, public.mats))
+                       for a, b in zip(piece.mats, mats, strict=True))
 
 def test_jordan_block_witness_is_the_fixed_line():
     A = np.array([[1, 1], [0, 1]], dtype=np.int64)

@@ -5,6 +5,8 @@ For each `steinberg.<name>` module (the package `__init__` aside): every
 name in `__all__` is an attribute of the module, and every name bound by a
 relative `from .x import ...` is read somewhere in the module's code, so a
 helper whose last caller is deleted does not stay behind as an import.
+`modrep` builds its modules through the public MeatAxe constructors alone,
+so it imports no private `meataxe` name.
 """
 
 import ast
@@ -40,3 +42,11 @@ def test_every_relative_import_is_used(name):
                 for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [n for n in imported if n not in read] == []
+
+
+def test_modrep_imports_no_private_meataxe_name():
+    private = [alias.name for node in ast.walk(_tree("modrep"))
+               if isinstance(node, ast.ImportFrom) and node.level
+               and node.module == "meataxe"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
