@@ -4,8 +4,9 @@ The alternating Weyl sum and its spun submodule
 
 Inside the permutation module on Borel cosets, the vector that alternates
 over the Weyl-chamber cosets is a common eigenvector of every double-coset
-operator.  Spinning it under the group action carves out a submodule of
-dimension equal to the unipotent subgroup order.
+operator.  The submodule it generates under the group action has one
+apartment row per flag of the big cell, so its dimension is the unipotent
+subgroup order.
 """
 
 import numpy as np
@@ -34,7 +35,8 @@ for w, m in enumerate(borel_matrices_int(G)):
     print("  w =", w, " length", length, " eigenvalue", sign, " verified:", ok)
 print()
 
-# spin the vector: apply generators until the span stabilizes
+# the submodule it generates, built from its apartment rows u.e, one per
+# flag of the big cell, with no spin
 st = steinberg_module(G, ell)
 print("spun submodule dimension:", st.module.dim, " (|U| =", G.order_u, ")")
 print("canonical basis rows over GF(%d):" % ell)

@@ -638,6 +638,13 @@ def _free_columns(dim: int, pivots) -> np.ndarray:
     return np.flatnonzero(free)
 
 
+def _zero_mod(p: int, keys, values) -> bool:
+    """True when the sparse vector with entries values[i] at keys[i], a
+    repeated key summing its values, is zero modulo p."""
+    _, slot = np.unique(keys, return_inverse=True)
+    return not (np.bincount(slot, weights=values).astype(np.int64) % p).any()
+
+
 def _canonical(F: FiniteField, rows) -> tuple[np.ndarray, list[int]]:
     """(basis, pivots): the canonical basis of the row space of `rows` and
     its pivot columns.  Rows already in RREF without zero rows are returned
@@ -676,15 +683,19 @@ def reduce_mod_rowspace(F: FiniteField, basis, pivots, rows):
     return F.mat_sub(rows, spanned.reshape(rows.shape)), coords
 
 
-def intersect_rowspaces(F: FiniteField, U, V) -> np.ndarray:
+def intersect_rowspaces(F: FiniteField, U, V, units=None) -> np.ndarray:
     """Canonical basis of rowspace(U) meet rowspace(V): the span of the
-    combinations a @ U whose residue modulo V's canonical basis vanishes.
-    The residue is zero on V's pivot columns, so the a are the kernel of
-    its free columns."""
-    U = np.asarray(U, dtype=np.int64)
-    V, pivots = _canonical(F, V)
+    combinations a @ U whose residue modulo V vanishes.
+
+    With `units`, V is taken as a basis that is the identity on those
+    columns, as `reduce_mod_rowspace` takes one; without, V is any spanning
+    set and its canonical basis and pivots are used.  The residue is zero
+    on the unit columns, so the a are the kernel of its other columns."""
+    U, V = np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64)
+    if units is None:
+        V, units = _canonical(F, V)
     if V.shape[1] != U.shape[1]:
         raise FieldError("ambient dimensions differ")
-    residue, _ = reduce_mod_rowspace(F, V, pivots, U)
-    free = _free_columns(U.shape[1], pivots)
+    residue, _ = reduce_mod_rowspace(F, V, units, U)
+    free = _free_columns(U.shape[1], units)
     return row_basis(F, F.mat_mul(kernel(F, residue[:, free].T), U))

@@ -27,6 +27,22 @@ with eigenvalue (-1)^l(w), here checked over the integers so the statement
 descends to every coefficient field, and also modulo a prime; the check
 reads T_w e from the cell table rows on the support of e, without operator
 matrices.
+
+The common (-1)-eigenspace Eig of the simple operators has two routes.
+`sign_eigenspace` takes it as one kernel of panel incidence matrices.
+`certify_sign_eigenspace` proves instead that given sparse rows span it,
+with no elimination, when the rows are the identity on a set J of flags:
+each row sums to 0 over every s-panel, so the rows lie in Eig; and every
+flag off J has a simple s whose q s-adjacent flags all lie in strictly
+longer Bruhat cells.  For a flag x in cell w with l(ws) > l(w), x is the
+flag of its s-panel nearest the base flag, and the q others lie in cell
+ws; every flag off the big cell has such an s.  An eigenvector v that
+vanishes on J then vanishes everywhere: at a flag x of its support in a
+longest cell, the s-panel sum of v at x is v[x] alone, and it is 0.  So
+dim Eig is at most |J|, the number of rows, and the rows span Eig.  On
+the Steinberg module's apartment rows, with J the big cell, this is the
+Hecke-algebra fact that the Steinberg module is Eig, checked on the group
+at hand; `verify` runs the certificate and `hecke-check` the kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ import numpy as np
 from .bngroup import GLGroup
 from .caps import MAX_DENSE_DIM
 from .coxeter import CoxeterGroup
-from .gf import FieldError, FiniteField, field, is_prime, kernel
+from .gf import FieldError, FiniteField, _zero_mod, field, is_prime, kernel
 
 __all__ = [
     "HeckeError",
@@ -49,6 +65,7 @@ __all__ = [
     "alternating_sum_vector",
     "is_sign_eigenvector",
     "sign_eigenspace",
+    "certify_sign_eigenspace",
     "hecke_check",
 ]
 
@@ -433,6 +450,61 @@ def sign_eigenspace(G: GLGroup, ell: int) -> np.ndarray:
         return F.identity(G.index)
     return kernel(F, np.vstack([_panel_incidence(G, s)
                                 for s in range(G.weyl.rank)]))
+
+
+def certify_sign_eigenspace(G: GLGroup, ell: int, support, coeffs,
+                            units) -> bool:
+    """True when sparse rows are certified to span the common
+    (-1)-eigenspace of the simple operators over GF(ell), with no
+    elimination.
+
+    Row i has the entries coeffs[i, k] (or coeffs[k] for every row) at the
+    distinct flags support[i, k].  The certificate:
+    * each row is 1 at units[i] and 0 at every other flag of `units`, so
+      the rows are independent;
+    * each row x has T_s x = -x for every s, read on its support: flag i of
+      T_s x sums x over the q flags adjacent to i;
+    * every flag off `units` has a simple s whose q s-adjacent flags all lie
+      in strictly longer Bruhat cells.
+    Then an eigenvector v that vanishes on `units` is zero: at a flag x of
+    its support in a longest cell, the s of the last clause gives
+    -v[x] = (T_s v)[x] = 0.  So the eigenspace has dimension at most the
+    number of rows, and the rows span it.
+    """
+    F = _check_ell(G, ell)
+    support = np.asarray(support, dtype=np.int64)
+    coeffs = np.broadcast_to(np.asarray(coeffs, dtype=np.int64) % F.p,
+                             support.shape)
+    rows = support.shape[0]
+    if len(units) != rows:
+        return False
+    position = np.full(G.index, -1, dtype=np.int64)
+    position[units] = np.arange(rows)
+    at = position[support]
+    if ((position[units] != np.arange(rows)).any()
+            or (np.diff(np.sort(support, axis=1), axis=1) == 0).any()
+            or ((at >= 0).sum(axis=1) != 1).any()
+            or (at[at >= 0] != np.arange(rows)).any()
+            or (coeffs[at >= 0] != 1).any()):
+        return False
+    lengths = G.weyl.lengths[G.cell_table[0]]
+    certified = position >= 0
+    for s in range(G.weyl.rank):
+        adjacent = _adjacent_flags(G, s)
+        certified |= (lengths[adjacent] > lengths[:, None]).all(axis=1)
+        # flag i of T_s x gets x[j] for every i with j among i's adjacent
+        # flags: reached[j] lists those i
+        flat = adjacent.ravel()
+        if (np.bincount(flat, minlength=G.index) != G.q).any():
+            return False
+        reached = (np.argsort(flat, kind="stable") // G.q).reshape(-1, G.q)
+        keys = np.concatenate([support, reached[support].reshape(rows, -1)],
+                              axis=1) + G.index * np.arange(rows)[:, None]
+        values = np.concatenate([coeffs, np.repeat(coeffs, G.q, axis=1)],
+                                axis=1)
+        if not _zero_mod(F.p, keys.ravel(), values.ravel()):
+            return False
+    return bool(certified.all())
 
 
 def hecke_check(G: GLGroup, ell: int) -> dict:

@@ -227,7 +227,8 @@ def _image(F: FiniteField, gen, rows) -> np.ndarray:
 
 
 def _as_rows(F: FiniteField, dim: int, seeds):
-    """RREF basis and pivot columns of the span of the seed rows."""
+    """RREF basis and pivot columns of the span of the seed rows; seeds
+    already canonical are taken as given."""
     if seeds is None:
         return np.zeros((0, dim), dtype=np.int64), []
     arr = np.array(seeds, dtype=np.int64)
@@ -236,8 +237,7 @@ def _as_rows(F: FiniteField, dim: int, seeds):
     if arr.shape[1] != dim:
         raise MeatAxeError(
             f"seed width {arr.shape[1]} does not match dimension {dim}")
-    R, pivots = rref(F, arr)
-    return R[: len(pivots)], pivots
+    return _canonical(F, arr)
 
 
 def _spin_rows(F: FiniteField, gens, dim: int, seeds) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Concrete modules for a finite general linear group over a coefficient field.
 
 Builds the permutation module on the complete flag space, the Steinberg
-module as the submodule spun up from the alternating flag sum, its socle
-via averaging over the unipotent group, permutation modules on partial
-flag spaces, Harish-Chandra restriction and induction between the group
-and the Levi subgroup of a standard parabolic, and the Gelfand-Graev
-module attached to a regular character of the unipotent group.
+module (the submodule the alternating flag sum generates) on its apartment
+basis, its socle via averaging over the unipotent group, permutation
+modules on partial flag spaces, Harish-Chandra restriction and induction
+between the group and the Levi subgroup of a standard parabolic, and the
+Gelfand-Graev module attached to a regular character of the unipotent
+group.
 
 The coefficient field GF(l^d) must have characteristic different from the
 defining characteristic of the group.  All modules are meataxe.GModule
@@ -17,26 +18,37 @@ module as `perm_of`, the only way an arbitrary group element acts.  The
 flag and partial flag modules take their generators' permutations from the
 coset orbit, which recorded them while enumerating G/B or G/P, so `perm_of`
 runs only for the spot check and for other elements.
-Harish-Chandra restriction reads the radical orbits off those
+The Steinberg module has one basis row b_j = +-u_j e per flag
+j = u_j n_w0 B of the big cell (Solomon 1969): u_j carries the Weyl
+chambers to the apartment through the base flag and j, whose chamber in
+cell w is read from the cell table, so the rows are sparse, one entry per
+Weyl element, and the identity on the big cell.  A generator's matrix is
+its image of the rows read on the big cell, and that the image is the
+combination of rows so read is checked on the supports.  Nothing is spun
+or eliminated; the canonical basis of the rows is computed only when
+`SteinbergData.basis` is read, and no caller in the package reads it.
+Harish-Chandra restriction reads the radical orbits off the
 permutations, and induction reads the Levi module's `perm_of` on the
 parabolic factor of each coset.  The socle generator (the unipotent
 average of the alternating vector) and the unipotent fixed space of the
 Steinberg module are read from the Bruhat cells, which are the U-orbits
 on the flags; the fixed space is one `gf.intersect_rowspaces` of the cell
-indicators with the Steinberg basis.  Submodules on spun bases are built
-by the public `meataxe.submodule_module`, which takes them as given.
+indicators with the apartment rows, whose unit columns are the big cell.
+Other submodules on spun bases are built by the public
+`meataxe.submodule_module`, which takes them as given.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bngroup import GLGroup, _left_multiply, _orbit_cosets, build_gl
 from .caps import MAX_DENSE_DIM, MAX_REGULAR_ORDER
-from .gf import (FiniteField, field, intersect_rowspaces, inverse, is_prime,
-                 rank)
+from .gf import (FiniteField, _zero_mod, field, intersect_rowspaces, inverse,
+                 is_prime, rank, row_basis)
 from .hecke import alternating_sum_vector
 from .meataxe import (
     DEFAULT_SEED,
@@ -133,26 +145,121 @@ def steinberg_element(G: GLGroup, ell: int, d: int = 1,
 
 @dataclass
 class SteinbergData:
-    """The Steinberg module inside the flag permutation module."""
+    """The Steinberg module inside the flag permutation module, on its
+    apartment basis: row j is b_j = +-u_j e for the flag j = u_j n_w0 B of
+    the big cell, signed so that it is 1 at j."""
 
-    parent: GModule      # flag permutation module
-    vector: np.ndarray   # alternating flag sum, in flag coordinates
-    basis: np.ndarray    # canonical rows spanning the submodule it generates
-    module: GModule      # the action on basis coordinates
+    parent: GModule        # flag permutation module
+    vector: np.ndarray     # alternating flag sum, in flag coordinates
+    big_cell: np.ndarray   # the big-cell flags, ascending: row j is 1 at
+                           # big_cell[j] and 0 at every other one
+    support: np.ndarray    # (|U|, |W|): support[j, w] is the flag of row j
+                           # in cell w
+    signs: np.ndarray      # (|W|,): every row's entry in cell w,
+                           # (-1)^(l(w) + l(w0))
+    module: GModule        # the action on the apartment basis
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The apartment rows as dense flag vectors over the module's
+        field."""
+        out = np.zeros((len(self.big_cell), self.parent.dim), dtype=np.int64)
+        out[np.arange(len(out))[:, None], self.support] = (
+            self.signs % self.parent.field.p)
+        return out
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The canonical (RREF) basis of the rows' span, eliminated on first
+        read."""
+        return row_basis(self.parent.field, self.rows)
+
+
+def _apartments(G: GLGroup) -> tuple:
+    """(big_cell, support, signs) of the apartment rows, read from the cell
+    table.
+
+    big_cell lists the flags of the cell of w0, ascending.  The apartment
+    through the base flag and the big-cell flag j = u n_w0 B has one chamber
+    in each cell w, u n_w B: the one flag x of cell w with
+    cell_table[x, j] = w^-1 w0, since a gallery of reduced type between two
+    flags is unique.  support[:, w] lists those chambers, and signs[w] is
+    (-1)^(l(w) + l(w0)), so the row u_j e (-1)^l(w0) is 1 at j.
+    """
+    W, table = G.weyl, G.cell_table
+    w0 = W.longest_element()
+    big_cell = np.flatnonzero(table[0] == w0)
+    support = np.empty((len(big_cell), W.order), dtype=np.int64)
+    for w in range(W.order):
+        cell = np.flatnonzero(table[0] == w)
+        hits = table[np.ix_(cell, big_cell)] == W.multiply(W.inverse(w), w0)
+        if not (hits.sum(axis=0) == 1).all():
+            raise ModRepError(
+                f"cell {w} does not meet every apartment in one flag")
+        support[:, w] = cell[hits.argmax(axis=0)]
+    signs = 1 - 2 * ((W.lengths + W.length(w0)) % 2)
+    return big_cell, support, signs
+
+
+def _apartment_matrix(p: int, perm, position, support, signs) -> np.ndarray:
+    """Matrix of the generator with flag permutation `perm` on the apartment
+    rows: column j is its image of row j read on the big cell, where
+    `position` numbers the big-cell flags and is -1 elsewhere.
+
+    Row j's image has the entries signs at the flags perm[support[j]].  It
+    must equal the combination of rows that column j gives, and the two are
+    compared on their supports; a mismatch raises ModRepError.
+    """
+    rows, dim = support.shape[0], len(position)
+    image = perm[support]
+    at = position[image]
+    j, w = np.nonzero(at >= 0)
+    k = at[j, w]
+    A = np.zeros((rows, rows), dtype=np.int64)
+    A[k, j] = signs[w] % p
+    # image of row j minus sum over k of A[k, j] row k, keyed by (j, flag)
+    keys = np.concatenate([(np.arange(rows)[:, None] * dim + image).ravel(),
+                           (j[:, None] * dim + support[k]).ravel()])
+    values = np.concatenate([np.broadcast_to(signs, image.shape).ravel(),
+                             -np.outer(signs[w], signs).ravel()])
+    if not _zero_mod(p, keys, values):
+        raise ModRepError("a generator's image of an apartment row is not "
+                          "the combination of rows it reads on the big cell")
+    return A
 
 
 def steinberg_module(G: GLGroup, ell: int, d: int = 1,
                      alternating=None) -> SteinbergData:
-    """Submodule of the flag module spun up from the alternating flag sum.
+    """The submodule of the flag module generated by the alternating flag
+    sum e, on its apartment basis (Solomon 1969).
 
     `alternating` is `alternating_sum_vector(G)` when the caller has it.
+    The rows are read from the cell table (_apartments) and are the
+    identity on the big cell, so each generator's matrix is its image of
+    the rows read there (_apartment_matrix): no spin and no elimination.
+    Two checks raise ModRepError when they fail: the row of the flag
+    n_w0 B, the one big-cell flag where e is nonzero, is (-1)^l(w0) e, and
+    every generator keeps the rows' span.  That span then contains the
+    submodule e generates, and equals it since row j is +-u_j e.
     """
     M = borel_module(G, ell, d)
     e = steinberg_element(G, ell, d, alternating)
-    basis = spin(M, e)
-    St = submodule_module(
-        M, basis, f"Steinberg module of {G!r} over GF({M.field.order})")
-    return SteinbergData(parent=M, vector=e, basis=basis, module=St)
+    big_cell, support, signs = _apartments(G)
+    p = M.field.p
+    lead = np.flatnonzero(e[big_cell])
+    if not (len(lead) == 1 and np.count_nonzero(e) == len(signs)
+            and np.array_equal(e[support[lead[0]]],
+                               e[big_cell[lead[0]]] * signs % p)):
+        raise ModRepError(
+            "no apartment row is a multiple of the alternating vector")
+    position = np.full(G.index, -1, dtype=np.int64)
+    position[big_cell] = np.arange(len(big_cell))
+    mats = [_apartment_matrix(p, perm, position, support, signs)
+            for perm in M.perms]
+    St = GModule(M.field, mats, dim=len(big_cell), check=False,
+                 label=f"Steinberg module of {G!r} over GF({M.field.order})")
+    return SteinbergData(parent=M, vector=e, big_cell=big_cell,
+                         support=support, signs=signs, module=St)
 
 
 def unipotent_sum(G: GLGroup, F: FiniteField, character=None) -> np.ndarray:
@@ -232,7 +339,8 @@ def socle_of_steinberg(G: GLGroup, steinberg: SteinbergData,
     if not v.any():
         raise ModRepError("the unipotent average of the alternating vector "
                           "vanished; no socle generator")
-    fix_dim = _unipotent_fixed_rows(G, F, steinberg.basis).shape[0]
+    fix_dim = _unipotent_fixed_rows(G, F, steinberg.rows,
+                                    steinberg.big_cell).shape[0]
     if fix_dim != 1:
         raise ModRepError(
             f"unipotent fixed space of the Steinberg module has dimension "
@@ -260,9 +368,12 @@ def _unipotent_average(G: GLGroup, F: FiniteField) -> np.ndarray:
     return coeffs[G.cell_table[0]]
 
 
-def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:
+def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis,
+                          units=None) -> np.ndarray:
     """Canonical rows, in flag coordinates, of the U-fixed vectors in the
-    span of the RREF `basis` of an invariant subspace of the flag module.
+    span of `basis`, a basis of an invariant subspace of the flag module
+    that is the identity on its columns `units` (an RREF basis and its
+    pivots when `units` is None).
 
     The U-orbits on the flags are the Bruhat cells, so the U-fixed flag
     vectors are spanned by the cell indicators, and these rows are the meet
@@ -271,7 +382,7 @@ def _unipotent_fixed_rows(G: GLGroup, F: FiniteField, basis) -> np.ndarray:
     row0 = G.cell_table[0]
     cells = np.array([row0 == w for w in range(G.weyl.order)],
                      dtype=np.int64)
-    return intersect_rowspaces(F, cells, basis)
+    return intersect_rowspaces(F, cells, basis, units)
 
 
 def parabolic_perm_module(G: GLGroup, composition, ell: int,
@@ -543,7 +654,7 @@ def gelfand_graev(G: GLGroup, character,
     if not v.any():
         raise ModRepError("the weighted average of the alternating vector "
                           "vanished")
-    image_dim = int(rank(F, F.mat_mul(st.basis, theta.T.copy())))
+    image_dim = int(rank(F, F.mat_mul(st.rows, theta.T.copy())))
     hom_dim = len(hom_space(Gamma, st.module))
     generated = submodule_module(st.parent, spin(st.parent, v))
     head = composition_factors(generated, seed)[-1].module

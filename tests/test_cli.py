@@ -86,7 +86,9 @@ def test_verify_timings_are_opt_in(capsys):
         capsys, "verify", "--n", "2", "--q", "2", "--ell", "3", "--timings")
     assert code == 0
     timings = payload["timings"]
-    assert "total" in timings
+    assert list(timings) == ["build_group", "cell_table",
+                             "integer_eigenvector", "modular_eigenspace",
+                             "meataxe", "socle", "total"]
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
     code, out = run(capsys, "verify", "--n", "2", "--q", "2", "--ell", "3",
                     "--format", "text")
@@ -155,8 +157,8 @@ def test_verify_builds_the_alternating_vector_once(capsys, monkeypatch):
 
 
 def test_verify_reads_hecke_operators_from_the_cell_table(capsys, monkeypatch):
-    # sign_eigenspace applies T_s by gathers through the cell table, so
-    # verify builds no operator matrix at all
+    # the panel certificate reads the s-adjacent flags off the cell table,
+    # so verify builds no operator matrix at all
     calls = []
     original = hecke.act_on_borel_module
 
@@ -169,6 +171,81 @@ def test_verify_reads_hecke_operators_from_the_cell_table(capsys, monkeypatch):
     code, _ = run_json(capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
     assert code == 0
     assert len(calls) == 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("verify left its fast path")
+
+
+def test_verify_takes_no_eigenspace_kernel_and_spins_no_steinberg(
+        capsys, monkeypatch):
+    # the apartment rows need no spin and no restriction, the panel
+    # certificate stands in for the eigenspace kernel, and nothing reads
+    # the canonical basis
+    monkeypatch.setattr(hecke, "sign_eigenspace", _refuse)
+    monkeypatch.setattr(cli, "sign_eigenspace", _refuse, raising=False)
+    monkeypatch.setattr(modrep.SteinbergData, "basis", property(_refuse))
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
+    assert code == 0
+    assert all(c["pass"] for c in payload["checks"])
+    for name in ("_spin_rows", "_restrict", "submodule_module"):
+        monkeypatch.setattr(meataxe, name, _refuse)
+    monkeypatch.setattr(modrep, "spin", _refuse)
+    monkeypatch.setattr(modrep, "submodule_module", _refuse)
+    for n, q, ell in ((3, 2, 7), (3, 5, 2), (4, 2, 3)):
+        assert modrep.steinberg_module(build_gl(n, q), ell).module.dim == \
+            q ** (n * (n - 1) // 2)
+
+
+def _failed_checks(payload):
+    return [c["name"] for c in payload["checks"] if not c["pass"]]
+
+
+def test_verify_corrupted_apartment_row_fails_steinberg_rank(
+        capsys, monkeypatch):
+    # row 1 of GL_3(2) with its chamber in cell s_1 moved to another flag
+    # of that cell: the generators no longer keep the rows' span
+    apartments = modrep._apartments
+
+    def corrupted(G):
+        big_cell, support, signs = apartments(G)
+        s = G.weyl.gen_index(0)
+        cell = np.flatnonzero(G.cell_table[0] == s)
+        support[1, s] = cell[cell != support[1, s]][0]
+        return big_cell, support, signs
+
+    monkeypatch.setattr(modrep, "_apartments", corrupted)
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
+    assert code == 1
+    assert len(payload["checks"]) == 9
+    rank = next(c for c in payload["checks"] if c["name"] == "steinberg_rank")
+    assert rank["pass"] is False
+    assert "apartment row" in rank["details"]
+    assert _failed_checks(payload)[0] == "steinberg_rank"
+    assert payload["factors"] == []
+
+
+def test_verify_failed_certificate_fails_the_eigenspace_check(
+        capsys, monkeypatch):
+    # flags 1 and b, s_1-adjacent, each listed as adjacent to itself in
+    # place of the other: the apartment rows no longer sum to 0 over it
+    adjacent_flags = hecke._adjacent_flags
+
+    def unlinked(G, s):
+        adjacent = adjacent_flags(G, s)
+        b = adjacent[1, 0]
+        adjacent[1, 0] = 1
+        adjacent[b, list(adjacent[b]).index(1)] = b
+        return adjacent
+
+    monkeypatch.setattr(hecke, "_adjacent_flags", unlinked)
+    code, payload = run_json(
+        capsys, "verify", "--n", "3", "--q", "2", "--ell", "7")
+    assert code == 1
+    assert len(payload["checks"]) == 9
+    assert _failed_checks(payload) == ["eigenspace_equals_steinberg"]
 
 
 def test_verify_builds_no_permutation_matrix(capsys, monkeypatch):

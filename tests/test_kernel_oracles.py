@@ -95,13 +95,17 @@ from steinberg.meataxe import (
     spin,
     submodule_module,
 )
+from steinberg import hecke, modrep
 from steinberg.hecke import (
     _adjacent_flags,
     _apply_simple,
     act_on_borel_module,
+    certify_sign_eigenspace,
     sign_eigenspace,
 )
 from steinberg.modrep import (
+    ModRepError,
+    _apartments,
     _regular_module,
     _unipotent_fixed_rows,
     borel_module,
@@ -1423,6 +1427,116 @@ def test_unipotent_fixed_rows_match_the_residue_solve(case):
     for basis in (data.basis, F.identity(G.index)):
         assert np.array_equal(_unipotent_fixed_rows(G, F, basis),
                               unipotent_fixed_rows_oracle(G, F, basis))
+    # the apartment rows, read as given with their unit columns
+    assert np.array_equal(_unipotent_fixed_rows(G, F, data.rows, data.big_cell),
+                          unipotent_fixed_rows_oracle(G, F, data.basis))
+
+
+# -- the apartment rows against the spun Steinberg module ---------------------
+
+APARTMENT_CASES = ST_CASES + ((3, 7, 2), (3, 7, 19))
+
+
+def steinberg_spin_oracle(G, ell):
+    """The Steinberg module as it was built before the apartment rows: the
+    alternating vector spun in the flag module, then restricted to that
+    canonical basis by `submodule_module`."""
+    M = borel_module(G, ell)
+    basis = spin(M, steinberg_element(G, ell))
+    return basis, submodule_module(M, basis)
+
+
+@pytest.mark.parametrize("case", APARTMENT_CASES, ids=str)
+def test_apartment_rows_span_the_spun_module_and_conjugate_its_action(case):
+    G, ell = build_gl(*case[:2]), case[2]
+    data = steinberg_module(G, ell)
+    F = data.parent.field
+    basis, spun = steinberg_spin_oracle(G, ell)
+    assert np.array_equal(row_basis(F, data.rows), basis)
+    assert np.array_equal(data.basis, basis)
+    # rows = X @ basis; g.rows = A.T @ rows and g.basis = B.T @ basis, so
+    # A.T @ X = X @ B.T
+    X = data.rows[:, gf._pivots(basis)]
+    assert np.array_equal(F.mat_mul(X, basis), data.rows)
+    for A, B in zip(data.module.mats, spun.mats, strict=True):
+        assert np.array_equal(F.mat_mul(A.T, X), F.mat_mul(X, B.T))
+
+
+def _verdicts(G, ell, support, coeffs, units):
+    """(certificate, kernel): the panel certificate's verdict on the sparse
+    rows, and whether the eigenspace kernel equals their row space."""
+    rows = np.zeros((len(units), G.index), dtype=np.int64)
+    rows[np.arange(len(units))[:, None], support] = (
+        np.broadcast_to(coeffs, support.shape) % ell)
+    return (certify_sign_eigenspace(G, ell, support, coeffs, units),
+            np.array_equal(sign_eigenspace(G, ell), row_basis(field(ell), rows)))
+
+
+def _moved_chamber(G, support, row=0):
+    """support with the row's chamber in the cell of the first simple
+    reflection moved to another flag of that cell."""
+    s = G.weyl.gen_index(0)
+    cell = np.flatnonzero(G.cell_table[0] == s)
+    out = support.copy()
+    out[row, s] = cell[cell != support[row, s]][0]
+    return out
+
+
+def _unlinked_adjacency(G, s):
+    """The s-adjacent flags with flag 1 and its first neighbour b each
+    listed as adjacent to itself in place of the other: every flag is
+    still listed q times."""
+    adjacent = _adjacent_flags(G, s)
+    b = adjacent[1, 0]
+    adjacent[1, 0] = 1
+    adjacent[b, list(adjacent[b]).index(1)] = b
+    return adjacent
+
+
+@pytest.mark.parametrize("case", APARTMENT_CASES, ids=str)
+def test_panel_certificate_agrees_with_the_eigenspace_kernel(case,
+                                                             monkeypatch):
+    G, ell = build_gl(*case[:2]), case[2]
+    units, support, signs = _apartments(G)
+    assert _verdicts(G, ell, support, signs, units) == (True, True)
+    # mutants: a missing row, a repeated row, a moved chamber, a flipped
+    # sign (a no-op in characteristic 2) and a wrong adjacency
+    assert _verdicts(G, ell, support[1:], signs, units[1:]) == (False, False)
+    if len(units) > 1:
+        repeated = support[[0, 0, *range(2, len(units))]]
+        assert _verdicts(G, ell, repeated, signs, units) == (False, False)
+    assert _verdicts(G, ell, _moved_chamber(G, support), signs,
+                     units) == (False, False)
+    if ell != 2:
+        flipped = np.tile(signs, (len(units), 1))
+        flipped[0, G.weyl.gen_index(0)] *= -1
+        assert _verdicts(G, ell, support, flipped, units) == (False, False)
+    true_adjacent = hecke._adjacent_flags
+    monkeypatch.setattr(hecke, "_adjacent_flags", lambda G, s: (
+        _unlinked_adjacency(G, s) if s == 0 else true_adjacent(G, s)))
+    assert _verdicts(G, ell, support, signs, units) == (False, False)
+
+
+@pytest.mark.parametrize("case", ST_CASES, ids=str)
+def test_a_corrupted_apartment_row_is_not_a_module(case, monkeypatch):
+    # the row of n_w0 B fails the alternating-vector check, any other row
+    # the closure check
+    G, ell = build_gl(*case[:2]), case[2]
+    units, support, signs = _apartments(G)
+    lead = int(np.flatnonzero(steinberg_element(G, ell)[units])[0])
+    for row, message in ((lead, "alternating"), (1 - min(lead, 1), "image")):
+        monkeypatch.setattr(modrep, "_apartments", lambda G: (
+            units, _moved_chamber(G, support, row), signs))
+        with pytest.raises(ModRepError, match=message):
+            steinberg_module(G, ell)
+
+
+@pytest.mark.parametrize("case", ST_CASES, ids=str)
+def test_apartment_rows_must_contain_the_alternating_vector(case):
+    G, ell = build_gl(*case[:2]), case[2]
+    e = steinberg_element(G, ell)
+    with pytest.raises(ModRepError, match="alternating"):
+        steinberg_module(G, ell, alternating=np.roll(e, 1))
 
 
 @pytest.mark.parametrize("case", ST_CASES, ids=str)

@@ -289,14 +289,19 @@ def test_socle_dimensions_and_multiplicity():
 
 
 
-def test_spun_submodules_equal_the_rref_first_oracle():
-    # the Steinberg module takes its spun canonical basis as given
+def test_apartment_matrices_are_conjugate_to_the_rref_first_oracle():
+    # the Steinberg module acts on its apartment rows, rows = X @ basis for
+    # the canonical basis, so A.T @ X = X @ B.T for the oracle's matrix B
     for n, q, ell in MATRIX:
         data = st_data(n, q, ell)
+        F = data.parent.field
         assert data.module.dim == data.basis.shape[0]
-        assert all(np.array_equal(a, b) for a, b in zip(
-            data.module.mats, submodule_oracle(data.parent, data.basis),
-            strict=True))
+        X = data.rows[:, rref(F, data.basis)[1]]
+        assert np.array_equal(F.mat_mul(X, data.basis), data.rows)
+        for A, B in zip(data.module.mats,
+                        submodule_oracle(data.parent, data.basis),
+                        strict=True):
+            assert np.array_equal(F.mat_mul(A.T, X), F.mat_mul(X, B.T))
 
 def _restricted_matrices(parent, basis, elements):
     """Matrices of group elements on the invariant span of the RREF `basis`,
